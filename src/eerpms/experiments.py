@@ -247,10 +247,11 @@ def forced_round_energy(xs: np.ndarray, ys: np.ndarray, radio: RadioParams,
     amp = np.where(dist <= d_th, radio.e_fs * dist ** 2, radio.e_mp * dist ** 4)
     total = float(np.sum(bits * radio.e_elec + bits * amp))
     counts = np.bincount(sector, minlength=k)
+    head_to_sink = tx_energy(radio, bits, d_ch)
     for m in counts[counts > 0]:
         total += (int(m) - 1) * rx_energy(radio, bits)
         total += aggregation_energy(radio, bits, int(m))
-        total += tx_energy(radio, bits, d_ch)
+        total += head_to_sink
     return total
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Protocol(enum.Enum):
@@ -15,19 +16,15 @@ class Protocol(enum.Enum):
         return self.value
 
 
-@dataclass
-class Node:
-    """One sensor. Position is fixed (sink at the origin); energy depletes."""
+class Node(NamedTuple):
+    """One sensor's fixed position (sink at the origin). Its energy, liveness
+    and cluster live in the arrays of the `Simulation` that deployed it."""
 
     id: int
     x: float
     y: float
     distance_to_bs: float
     angle: float                     # radians in [0, 2*pi)
-    energy_initial: float
-    energy_residual: float
-    alive: bool = True
-    role: str = "member"             # "member" or "head"
 
 
 @dataclass
@@ -42,9 +39,3 @@ class ClusterAssignment:
 
     clusters: list[Cluster]
     round_created: int = 0
-
-    def non_empty(self) -> list[Cluster]:
-        return [c for c in self.clusters if c.member_ids]
-
-    def member_total(self) -> int:
-        return sum(len(c.member_ids) for c in self.clusters)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Cluster, ClusterAssignment, Node
-
 #: Maximum number of threshold combinations the exhaustive search will visit.
 EXHAUSTIVE_CAP = 10_000_000
 
@@ -97,23 +95,21 @@ class AngleHistogram:
         return f"AngleHistogram(bins={self.bin_count}, total={self.total})"
 
 
-def angle_to_bin(angle: float, bin_count: int) -> int:
-    """Bin index of an angle in [0, 2*pi); the top edge folds into the last bin."""
-    if not (0.0 <= angle < _TWO_PI):
-        raise ValueError("angle must lie in [0, 2*pi)")
-    return min(int(angle * bin_count / _TWO_PI), bin_count - 1)
+def _angle_bins(angles, bin_count: int) -> np.ndarray:
+    """Bin index of each angle in [0, 2*pi); the top edge folds into the last bin."""
+    if bin_count < 1:
+        raise ValueError("bin_count must be at least 1")
+    angles = np.asarray(angles, dtype=float)
+    if ((angles < 0.0) | (angles >= _TWO_PI)).any():
+        raise ValueError("angles must lie in [0, 2*pi)")
+    return np.minimum((angles * bin_count / _TWO_PI).astype(np.int64), bin_count - 1)
 
 
 def build_histogram(angles, bin_count: int) -> AngleHistogram:
-    """Histogram of node angles over `bin_count` equal bins."""
-    if bin_count < 1:
-        raise ValueError("bin_count must be at least 1")
-    angles = np.asarray(list(angles), dtype=float)
-    if angles.size == 0:
+    """Histogram of node angles (any iterable) over `bin_count` equal bins."""
+    bins = _angle_bins(list(angles), bin_count)
+    if bins.size == 0:
         raise ValueError("at least one angle is required")
-    if ((angles < 0.0) | (angles >= _TWO_PI)).any():
-        raise ValueError("angles must lie in [0, 2*pi)")
-    bins = np.minimum((angles * bin_count / _TWO_PI).astype(np.int64), bin_count - 1)
     return AngleHistogram(np.bincount(bins, minlength=bin_count))
 
 
@@ -226,21 +222,12 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
     return ThresholdSet(best_t, k), best_val
 
 
-def materialize_clusters(nodes: list[Node], t: ThresholdSet,
-                         bin_count: int) -> ClusterAssignment:
-    """Assign each node to the angular segment containing its angle bin.
+def materialize_clusters(angles, t: ThresholdSet, bin_count: int) -> np.ndarray:
+    """Label each node with the angular segment containing its angle bin.
 
-    Clusters come back ordered by segment; empty segments stay as empty
-    clusters. Heads are left unset.
+    Takes one angle per node to cluster and returns one segment index in
+    0..k-1 per angle; a segment may receive no node.
     """
     t.validate_for(bin_count)
-    for node in nodes:
-        if not node.alive:
-            raise ValueError("cannot cluster dead nodes")
-    clusters = [Cluster() for _ in range(t.k)]
     thresholds = np.asarray(t.thresholds, dtype=np.int64)
-    for node in nodes:
-        b = angle_to_bin(node.angle, bin_count)
-        seg = int(np.searchsorted(thresholds, b, side="right"))
-        clusters[seg].member_ids.append(node.id)
-    return ClusterAssignment(clusters=clusters)
+    return np.searchsorted(thresholds, _angle_bins(angles, bin_count), side="right")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -32,18 +34,26 @@ def distance_threshold(params: RadioParams) -> float:
     return math.sqrt(params.e_fs / params.e_mp)
 
 
-def tx_energy(params: RadioParams, bits: int, d: float) -> float:
-    """Energy to transmit `bits` over `d` meters.
+def tx_energy(params: RadioParams, bits: int, d):
+    """Energy to transmit `bits` over `d` meters: a float for one distance,
+    an array for a 1-D array of distances.
 
     Free space (d^2 dissipation) at or below the crossover distance,
     multipath (d^4) above it. At exactly the crossover the two branches
     agree; the free-space branch is used.
     """
-    if d < 0:
+    given = np.asarray(d, dtype=float)
+    d = np.atleast_1d(given)
+    if (d < 0).any():
         raise ValueError("distance must be non-negative")
-    if d <= distance_threshold(params):
-        return bits * params.e_elec + bits * params.e_fs * d * d
-    return bits * params.e_elec + bits * params.e_mp * d ** 4
+    amp = bits * params.e_fs * d * d
+    far = d > distance_threshold(params)
+    if far.any():
+        # Python's d ** 4 element by element: numpy's vectorised power
+        # differs from it in the last bit on some distances
+        amp[far] = [bits * params.e_mp * v ** 4 for v in d[far].tolist()]
+    energy = bits * params.e_elec + amp
+    return float(energy[0]) if given.ndim == 0 else energy
 
 
 def rx_energy(params: RadioParams, bits: int) -> float:

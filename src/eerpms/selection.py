@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import Cluster, ClusterAssignment, Node
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -27,60 +27,57 @@ class SelectionWeights:
             raise ValueError("ring_radius_m must be non-negative")
 
 
-def distance_to_ring(node_bs_distance: float, ring_radius: float) -> float:
-    """Radial distance from a node to the circle of the given radius."""
-    if node_bs_distance < 0 or ring_radius < 0:
+def distance_to_ring(node_bs_distance, ring_radius: float):
+    """Radial distance from nodes (a float or an array of distances to the
+    sink) to the circle of the given radius."""
+    d = np.asarray(node_bs_distance, dtype=float)
+    if (d < 0).any() or ring_radius < 0:
         raise ValueError("distances must be non-negative")
-    return abs(node_bs_distance - ring_radius)
+    return np.abs(d - ring_radius)
 
 
-def attribute_score(node: Node, cluster_min_d: float, cluster_max_d: float,
-                    w: SelectionWeights) -> float:
-    """Head-election score in [0, 1]; higher is better.
+def attribute_score(energy_fraction, ring_d, cluster_min_d, cluster_max_d,
+                    w: SelectionWeights):
+    """Head-election score in [0, 1]; higher is better. Takes floats or
+    equal-length arrays, one entry per candidate.
 
-    `cluster_min_d`/`cluster_max_d` are the smallest and largest ring
-    distances among the cluster's members. When they coincide (singleton or
-    equidistant cluster) every member is positionally optimal and the
-    distance term is 1.
+    `energy_fraction` is residual over initial energy and `ring_d` the
+    candidate's distance to the ring. `cluster_min_d`/`cluster_max_d` are
+    the smallest and largest ring distances among the candidate's cluster.
+    When they coincide (singleton or equidistant cluster) every member is
+    positionally optimal and the distance term is 1.
     """
-    if not node.alive:
-        raise ValueError("dead node cannot score")
-    if cluster_min_d > cluster_max_d:
+    if np.any(np.greater(cluster_min_d, cluster_max_d)):
         raise ValueError("cluster_min_d must not exceed cluster_max_d")
-    energy_term = node.energy_residual / node.energy_initial
-    d = distance_to_ring(node.distance_to_bs, w.ring_radius_m)
-    if cluster_max_d == cluster_min_d:
-        distance_term = 1.0
-    else:
-        distance_term = (cluster_max_d - d) / (cluster_max_d - cluster_min_d)
-    return w.omega1 * energy_term + w.omega2 * distance_term
+    gap = np.subtract(cluster_max_d, ring_d)
+    spread = np.subtract(cluster_max_d, cluster_min_d)
+    distance_term = np.divide(gap, spread, out=np.ones(np.broadcast(gap, spread).shape),
+                              where=spread != 0)
+    return w.omega1 * energy_fraction + w.omega2 * distance_term
 
 
-def select_cluster_heads(assignment: ClusterAssignment, nodes: list[Node],
-                         w: SelectionWeights) -> ClusterAssignment:
-    """Elect the highest-scoring member of every non-empty cluster.
+def select_cluster_heads(labels, k: int, energy_fraction, distance_to_bs,
+                         w: SelectionWeights) -> np.ndarray:
+    """Elect the highest-scoring member of each of `k` clusters.
 
-    Ties break toward the lowest node id. Empty clusters stay headless.
+    `labels[i]` is node i's cluster in 0..k-1, or -1 for a node outside
+    every cluster (the dead). `energy_fraction` and `distance_to_bs` are
+    arrays with one entry per node. Returns each cluster's head id, -1 for
+    an empty cluster. Ties break toward the lowest node id.
     """
-    new_clusters = []
-    for cluster in assignment.clusters:
-        members = [nodes[i] for i in cluster.member_ids]
-        for m in members:
-            if not m.alive:
-                raise ValueError("clusters must contain only alive nodes")
-        if not members:
-            new_clusters.append(Cluster(member_ids=[], head_id=None))
-            continue
-        ring_d = [distance_to_ring(m.distance_to_bs, w.ring_radius_m) for m in members]
-        d_min, d_max = min(ring_d), max(ring_d)
-        best_id = None
-        best_score = -1.0
-        for m in sorted(members, key=lambda n: n.id):
-            score = attribute_score(m, d_min, d_max, w)
-            if score > best_score:
-                best_score = score
-                best_id = m.id
-        new_clusters.append(Cluster(member_ids=list(cluster.member_ids),
-                                    head_id=best_id))
-    return ClusterAssignment(clusters=new_clusters,
-                             round_created=assignment.round_created)
+    if (labels >= k).any():
+        raise ValueError("labels must lie in -1..k-1")
+    ids = np.flatnonzero(labels >= 0)
+    lab = labels[ids]
+    ring_d = distance_to_ring(distance_to_bs[ids], w.ring_radius_m)
+    d_min = np.full(k, np.inf)
+    d_max = np.full(k, -np.inf)
+    np.minimum.at(d_min, lab, ring_d)
+    np.maximum.at(d_max, lab, ring_d)
+    score = attribute_score(energy_fraction[ids], ring_d, d_min[lab], d_max[lab], w)
+    # by cluster, best score first, lowest id among equals
+    order = np.lexsort((ids, -score, lab))
+    first = order[np.diff(lab[order], prepend=-1) != 0]
+    heads = np.full(k, -1)
+    heads[lab[first]] = ids[first]
+    return heads

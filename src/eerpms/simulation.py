@@ -76,54 +76,55 @@ class SimulationResult:
     lifetime: LifetimeSummary
 
 
-def deploy(area: AreaSpec, seed, initial_energy_j: float = 0.5) -> list[Node]:
+def deploy(area: AreaSpec, seed) -> list[Node]:
     """Place `node_count` nodes i.i.d. uniform over the disk (area-uniform:
     r = R*sqrt(u), theta = 2*pi*v). Deterministic per seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     r = area.radius_m * np.sqrt(rng.random(area.node_count))
     theta = _TWO_PI * rng.random(area.node_count)
-    nodes = []
-    for i in range(area.node_count):
-        nodes.append(Node(
-            id=i,
-            x=float(r[i] * math.cos(theta[i])),
-            y=float(r[i] * math.sin(theta[i])),
-            distance_to_bs=float(r[i]),
-            angle=float(theta[i]),
-            energy_initial=initial_energy_j,
-            energy_residual=initial_energy_j,
-        ))
-    return nodes
+    return [Node(id=i, x=ri * math.cos(ti), y=ri * math.sin(ti), distance_to_bs=ri, angle=ti)
+            for i, (ri, ti) in enumerate(zip(r.tolist(), theta.tolist()))]
 
 
 class Simulation:
-    """Simulation state plus the per-protocol round logic."""
+    """Simulation state plus the per-protocol round logic.
+
+    Node state lives in arrays indexed by node id: position (`x`, `y`,
+    `d_bs`, `angle`), residual `energy`, the `alive` mask and the cluster
+    `labels` (-1 outside every cluster); `heads` holds one head id per
+    cluster (-1 for an empty one). `assignment` records the same clustering
+    as lists, for inspection.
+    """
 
     def __init__(self, config: NetworkConfig) -> None:
         self.config = config
         self.area = AreaSpec(config.radius_m, config.node_count)
         self.rng = np.random.default_rng(config.seed)
-        self.nodes = deploy(self.area, self.rng, config.initial_energy_j)
+        self.nodes = deploy(self.area, self.rng)
+        n = config.node_count
+        self.x = np.array([node.x for node in self.nodes])
+        self.y = np.array([node.y for node in self.nodes])
+        self.d_bs = np.array([node.distance_to_bs for node in self.nodes])
+        self.angle = np.array([node.angle for node in self.nodes])
+        self.energy = np.full(n, config.initial_energy_j)
+        self.alive = np.ones(n, dtype=bool)
+        self.labels = np.full(n, -1)
+        self.heads = np.full(0, -1)
         self.round_index = 0
         self.assignment: ClusterAssignment | None = None
         self.current_k = 0
         self.last_clustered_alive: int | None = None
         self.clustering_events = 0
-        # pairwise distances are static; python floats keep the hot loop cheap
-        xs = np.array([n.x for n in self.nodes])
-        ys = np.array([n.y for n in self.nodes])
-        self._dist = np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :]).tolist()
-        self._dist_bs = [n.distance_to_bs for n in self.nodes]
+        # rx_sums[j]: j receptions added one at a time, as a head pays them
+        self._rx_sums = np.concatenate(
+            ([0.0], np.cumsum(np.full(n, rx_energy(config.radio, config.radio.packet_bits)))))
         p_target = config.k_clusters if config.k_clusters is not None \
             else optimal_cluster_count(self.area)
         self._election_p = min(1.0, p_target / config.node_count)
         self._epoch_len = max(1, int(1.0 / self._election_p))
-        self._eligible = [True] * config.node_count
+        self._eligible = np.ones(n, dtype=bool)
 
     # -- helpers ---------------------------------------------------------
-
-    def alive_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.alive]
 
     def _cluster_count(self, alive: int) -> int:
         if self.config.k_clusters is not None:
@@ -137,164 +138,151 @@ class Simulation:
             return self.config.ring_radius_m
         return optimal_ch_distance(AreaSpec(self.config.radius_m, max(1, alive)), k)
 
-    def _select_heads(self, assignment: ClusterAssignment) -> ClusterAssignment:
-        alive = sum(1 for n in self.nodes if n.alive)
+    def _set_clusters(self, labels, k: int) -> None:
+        """Cluster the alive nodes: `labels` gives each one's cluster in
+        0..k-1, or -1 for every alive node when there are no clusters."""
+        self.labels[:] = -1
+        self.labels[self.alive] = labels
+        ids = np.flatnonzero(self.labels >= 0)
+        lab = self.labels[ids]
+        groups = np.split(ids[np.argsort(lab, kind="stable")],
+                          np.cumsum(np.bincount(lab, minlength=k))[:-1]) if k else []
+        self.assignment = ClusterAssignment(
+            clusters=[Cluster(member_ids=g.tolist()) for g in groups],
+            round_created=self.round_index)
+        self.last_clustered_alive = int(self.alive.sum())
+        self.clustering_events += 1
+
+    def _set_heads(self, heads: np.ndarray) -> None:
+        self.heads = heads
+        for cluster, head in zip(self.assignment.clusters, heads.tolist()):
+            cluster.head_id = head if head >= 0 else None
+
+    def _select_heads(self) -> None:
         weights = SelectionWeights(
             omega1=self.config.omega1,
             omega2=self.config.omega2,
-            ring_radius_m=self._ring_radius(alive, max(1, self.current_k)),
+            ring_radius_m=self._ring_radius(int(self.alive.sum()), max(1, self.current_k)),
         )
-        return select_cluster_heads(assignment, self.nodes, weights)
+        self._set_heads(select_cluster_heads(
+            self.labels, len(self.assignment.clusters),
+            self.energy / self.config.initial_energy_j, self.d_bs, weights))
 
-    def _transmit(self, clusters: list[Cluster], direct_ids: list[int]) -> RoundMetrics:
+    def _transmit(self) -> RoundMetrics:
         """Charge the round's costs and emit metrics.
 
-        `clusters` carry head-led traffic; nodes in `direct_ids` send
-        straight to the sink (used when an election produces no heads).
+        Clustered nodes send to their cluster's head, which fuses the
+        readings and forwards one packet to the sink; alive nodes outside
+        every cluster (after an election without heads) send straight to
+        the sink.
         """
         radio = self.config.radio
         bits = radio.packet_bits
-        cost = [0.0] * len(self.nodes)
-        head_ids: list[int] = []
-        member_counts: list[int] = []
+        labels = self.labels
+        cost = np.zeros(len(self.nodes))
 
-        for cluster in clusters:
-            if not cluster.member_ids:
-                continue
-            head = cluster.head_id
-            assert head is not None
-            head_ids.append(head)
-            member_counts.append(len(cluster.member_ids))
-            for nid in cluster.member_ids:
-                if nid == head:
-                    continue
-                cost[nid] += tx_energy(radio, bits, self._dist[nid][head])
-                cost[head] += rx_energy(radio, bits)
-            cost[head] += aggregation_energy(radio, bits, len(cluster.member_ids))
-            cost[head] += tx_energy(radio, bits, self._dist_bs[head])
+        direct = self.alive & (labels < 0)
+        cost[direct] = tx_energy(radio, bits, self.d_bs[direct])
 
-        for nid in direct_ids:
-            cost[nid] += tx_energy(radio, bits, self._dist_bs[nid])
+        members = np.flatnonzero(labels >= 0)
+        to = self.heads[labels[members]]
+        senders, to = members[members != to], to[members != to]
+        cost[senders] = tx_energy(radio, bits, np.hypot(self.x[senders] - self.x[to],
+                                                        self.y[senders] - self.y[to]))
+        sizes = np.bincount(labels[members], minlength=self.heads.size)
+        served = np.flatnonzero(sizes)
+        head_ids = self.heads[served]
+        received = np.bincount(labels[senders], minlength=self.heads.size)[served]
+        cost[head_ids] += (self._rx_sums[received]
+                           + aggregation_energy(radio, bits, sizes[served])
+                           + tx_energy(radio, bits, self.d_bs[head_ids]))
 
-        spent_total = 0.0
-        dead: list[int] = []
-        spent = [0.0] * len(self.nodes)
-        for node in self.nodes:
-            if not node.alive or cost[node.id] == 0.0:
-                continue
-            before = node.energy_residual
-            after = max(0.0, before - cost[node.id])
-            node.energy_residual = after
-            spent[node.id] = before - after  # exact by construction
-            spent_total += spent[node.id]
-            if after <= 0.0:
-                node.alive = False
-                node.role = "member"
-                dead.append(node.id)
-
-        head_set = set(head_ids)
-        for node in self.nodes:
-            if node.alive:
-                node.role = "head" if node.id in head_set else "member"
+        before = self.energy[self.alive]
+        after = np.maximum(0.0, before - cost[self.alive])
+        spent = np.zeros(len(self.nodes))
+        spent[self.alive] = before - after  # exact by construction
+        self.energy[self.alive] = after
+        dead = np.flatnonzero(self.alive)[after <= 0.0]
+        self.alive[dead] = False
 
         return RoundMetrics(
             round_index=self.round_index,
-            alive_count=sum(1 for n in self.nodes if n.alive),
-            total_residual_j=math.fsum(n.energy_residual for n in self.nodes),
-            spent_j=spent_total,
-            ch_count=len(head_ids),
-            per_ch_energy_j=tuple(spent[h] for h in head_ids),
-            member_counts=tuple(member_counts),
-            dead_node_ids=tuple(dead),
+            alive_count=int(self.alive.sum()),
+            total_residual_j=math.fsum(self.energy.tolist()),
+            # one node at a time in id order; np.sum's pairwise order would
+            # change the last bits
+            spent_j=float(np.cumsum(spent)[-1]),
+            ch_count=int(head_ids.size),
+            per_ch_energy_j=tuple(spent[head_ids].tolist()),
+            member_counts=tuple(sizes[served].tolist()),
+            dead_node_ids=tuple(dead.tolist()),
         )
 
     # -- protocol rounds -------------------------------------------------
 
     def step(self) -> RoundMetrics:
-        alive = self.alive_nodes()
-        if not alive:
+        if not self.alive.any():
             raise RuntimeError("no alive nodes left to simulate")
         self.round_index += 1
         if self.config.protocol is Protocol.EERPMS:
-            return self._round_eerpms(alive)
+            return self._round_eerpms()
         if self.config.protocol is Protocol.RLEACH:
-            return self._round_rleach(alive)
-        return self._round_crpfcm(alive)
+            return self._round_rleach()
+        return self._round_crpfcm()
 
-    def _needs_reclustering(self, alive: list[Node]) -> bool:
-        return self.assignment is None or len(alive) != self.last_clustered_alive
+    def _needs_reclustering(self) -> bool:
+        return self.assignment is None or int(self.alive.sum()) != self.last_clustered_alive
 
-    def _round_eerpms(self, alive: list[Node]) -> RoundMetrics:
-        if self._needs_reclustering(alive):
-            k = self._cluster_count(len(alive))
-            hist = build_histogram([n.angle for n in alive], self.config.bin_count)
+    def _round_eerpms(self) -> RoundMetrics:
+        if self._needs_reclustering():
+            angles = self.angle[self.alive]
+            k = self._cluster_count(angles.size)
+            hist = build_histogram(angles, self.config.bin_count)
             weights = ObjectiveWeights(self.config.alpha1, self.config.alpha2)
             if k == 1:
                 tset = ThresholdSet((), 1)
             else:
                 bat = replace(self.config.bat, seed=int(self.rng.integers(0, 2 ** 63)))
                 tset, _ = optimize_thresholds(hist, k, weights, bat)
-            self.assignment = materialize_clusters(alive, tset, self.config.bin_count)
-            self.assignment.round_created = self.round_index
+            self._set_clusters(materialize_clusters(angles, tset, self.config.bin_count), k)
             self.current_k = k
-            self.last_clustered_alive = len(alive)
-            self.clustering_events += 1
-        self.assignment = self._select_heads(self.assignment)
-        return self._transmit(self.assignment.clusters, [])
+        self._select_heads()
+        return self._transmit()
 
-    def _round_crpfcm(self, alive: list[Node]) -> RoundMetrics:
-        if self._needs_reclustering(alive):
-            k = self._cluster_count(len(alive))
-            k_eff = min(k, len(alive))
-            points = np.array([[n.x, n.y] for n in alive])
+    def _round_crpfcm(self) -> RoundMetrics:
+        if self._needs_reclustering():
+            points = np.column_stack((self.x[self.alive], self.y[self.alive]))
+            k = self._cluster_count(len(points))
+            k_eff = min(k, len(points))
             labels, _ = fuzzy_c_means(points, k_eff, self.rng)
-            clusters = [Cluster() for _ in range(k_eff)]
-            for node, label in zip(alive, labels):
-                clusters[int(label)].member_ids.append(node.id)
-            self.assignment = ClusterAssignment(clusters=clusters,
-                                                round_created=self.round_index)
+            self._set_clusters(labels, k_eff)
             self.current_k = k
-            self.last_clustered_alive = len(alive)
-            self.clustering_events += 1
-        self.assignment = self._select_heads(self.assignment)
-        return self._transmit(self.assignment.clusters, [])
+        self._select_heads()
+        return self._transmit()
 
-    def _round_rleach(self, alive: list[Node]) -> RoundMetrics:
+    def _round_rleach(self) -> RoundMetrics:
         r = self.round_index - 1
         if r % self._epoch_len == 0:
-            self._eligible = [True] * len(self.nodes)
+            self._eligible[:] = True
         p = self._election_p
         threshold_base = p / (1.0 - p * (r % self._epoch_len))
-        head_ids = []
-        for node in alive:
-            if not self._eligible[node.id]:
-                continue
-            threshold = threshold_base * (node.energy_residual / node.energy_initial)
-            if self.rng.random() < threshold:
-                head_ids.append(node.id)
-                self._eligible[node.id] = False
-        self.clustering_events += 1
-        if not head_ids:
-            self.assignment = ClusterAssignment(clusters=[],
-                                                round_created=self.round_index)
-            self.current_k = 0
-            self.last_clustered_alive = len(alive)
-            return self._transmit([], [n.id for n in alive])
-        clusters = [Cluster(member_ids=[], head_id=h) for h in head_ids]
-        for node in alive:
-            best = 0
-            best_d = self._dist[node.id][head_ids[0]]
-            for j in range(1, len(head_ids)):
-                d = self._dist[node.id][head_ids[j]]
-                if d < best_d:
-                    best, best_d = j, d
-            clusters[best].member_ids.append(node.id)
-        # a head with no other takers still forms its own singleton cluster
-        self.assignment = ClusterAssignment(clusters=clusters,
-                                            round_created=self.round_index)
-        self.current_k = len(head_ids)
-        self.last_clustered_alive = len(alive)
-        return self._transmit(clusters, [])
+        # one draw per alive, eligible node, in id order
+        candidates = np.flatnonzero(self.alive & self._eligible)
+        threshold = threshold_base * (self.energy[candidates] / self.config.initial_energy_j)
+        heads = candidates[self.rng.random(candidates.size) < threshold]
+        self._eligible[heads] = False
+        if heads.size:
+            # each alive node joins its nearest head, the first listed among
+            # equals; a head with no other takers forms its own singleton cluster
+            alive = np.flatnonzero(self.alive)
+            labels = np.argmin(np.hypot(self.x[alive, None] - self.x[heads],
+                                        self.y[alive, None] - self.y[heads]), axis=1)
+        else:
+            labels = -1  # no heads: every alive node sends straight to the sink
+        self._set_clusters(labels, heads.size)
+        self._set_heads(heads)
+        self.current_k = int(heads.size)
+        return self._transmit()
 
     # -- full run --------------------------------------------------------
 
@@ -304,7 +292,7 @@ class Simulation:
         half = math.ceil(n / 2)
         fdn = hdn = ldn = None
         dead_total = 0
-        while self.round_index < self.config.max_rounds and any(n_.alive for n_ in self.nodes):
+        while self.round_index < self.config.max_rounds and self.alive.any():
             m = self.step()
             metrics.append(m)
             if m.dead_node_ids:

@@ -111,6 +111,20 @@ class TestVerify:
         assert re.search(r"\[landscape\] analytic argmin: K=\d+", out)
         assert "[coverage]" in out
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--mc-samples", "--histograms"])
+    def test_count_below_one_is_config_error(self, capsys, tmp_path, flag):
+        code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path), flag, "0")
+        assert code == 1
+        assert f"argument {flag}: must be at least 1" in err
+        assert out == ""  # rejected before any suite runs
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--mc-samples", "--histograms"])
+    def test_non_integer_count_is_config_error(self, capsys, tmp_path, flag):
+        code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path), flag, "abc")
+        assert code == 1
+        assert f"argument {flag}: must be an integer, got 'abc'" in err
+        assert out == ""
+
 
 class TestParsing:
     def test_unknown_subcommand_is_config_error(self, capsys):

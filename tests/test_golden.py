@@ -1,0 +1,83 @@
+"""Golden digests of the rounds CSV.
+
+Each case pins the SHA-256 of `write_rounds_csv` output for one
+(protocol, config) run, and of the run's full per-round metrics. A change
+to the simulator that keeps its outputs must keep these digests; one that
+changes floats on purpose re-baselines them once and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from eerpms import NetworkConfig, Protocol, run_simulation
+from eerpms.experiments import write_rounds_csv
+
+E, R, C = Protocol.EERPMS, Protocol.RLEACH, Protocol.CRPFCM
+AUTO = dict(node_count=60, seed=4, k_clusters=None, ring_radius_m=None)
+TINY = dict(node_count=3, seed=5, initial_energy_j=0.01)
+
+GOLDEN = [
+    ("paper-seed1", E, dict(seed=1),
+     "0af13de81ba49745a32af44a7080a46c7250124fb071c1c53d201747b181de57",
+     "8cad39405893ee4aa812338199ca938445988e9fba7eff986657ef7f2054f834"),
+    ("paper-seed1", R, dict(seed=1),
+     "6639bf1bd1095bb3ca370e9cebf08befee3167ca0cb0c8affe52501637b04bbf",
+     "8f172126e7259067785110d95db57f7ed663cb821d615be9d9f546fb6da17f54"),
+    ("paper-seed1", C, dict(seed=1),
+     "9998e327c17d986ec09a51c474b5b4c72f002842144b6fe3c1c767712d33ddec",
+     "e3e80c1424343b6a89f71f12a600ce749e0eb0559f3102131516a3bf0ec58e83"),
+    ("paper-seed2", E, dict(seed=2),
+     "402844b4381240b8fd6070ee50ddec266c6340ef4c6e447a5cb2b64af09f7865",
+     "f984cbce79eb8b99ecb0764f7dc097efb89adca2ee394e88f1b73a29b4623206"),
+    ("paper-seed2", R, dict(seed=2),
+     "b67b3e9c1e7178eeacd6ff2a576f6fa21241908f18eaf8916521d430afe43940",
+     "788e444743c91e2108335ec3a5d00465a6100485448eba499b042b8e1d3f24a2"),
+    ("paper-seed2", C, dict(seed=2),
+     "1a514133dffc5a7b714be1add7a2d3bdc26042c48c22a654fb00b51a43b352f5",
+     "0335e1dbb848b9523ae5ef8d93872a3018936c44f2532c47b967bf9ff1062eae"),
+    ("paper-seed3", E, dict(seed=3),
+     "de1fa76c8e570163677491f8626179d03fd7b5b6c087e8e1e904720cd131369b",
+     "7ee5c230f7a2307dab7c99b5937f1a8ac806cfb548df7484f03cd1a54a564eea"),
+    ("paper-seed3", R, dict(seed=3),
+     "ebde1575d135e0fe51427fa2c3ed6a63907bbb66a53576c3d689f8a78292de7f",
+     "c92c5f2ae8616ae3410a6777ff7535a58aba258ad4ec84c2208b35a59b046219"),
+    ("paper-seed3", C, dict(seed=3),
+     "7c206fe7a202da742e7cbeb676d4703390d2c479de307cdccab776c79f20da3a",
+     "ac7324be5868fdd2d185273288305f6c637b3dd512c9c709b6f984e019348e75"),
+    ("auto-n60", E, AUTO,
+     "ce9fce121cb1975b081191b9230d958cd0bc80d1425256bc9d2d2eba9cf35ba8",
+     "ba18f20c618f81b7daeed87cf7aec129d7add4de140b5c30433ed71c762de1ba"),
+    ("auto-n60", R, AUTO,
+     "03be62f17153318aa0cdeff742e0c5450043fca6e65754522382304ed1958cc4",
+     "0ec21b4b58919314bb11d70e37a2c0f766fa3ee30f71217b06706f4cf86ae3a7"),
+    ("auto-n60", C, AUTO,
+     "227f115647c481f3a5f08a54d0cf7a85bc4be49997f84ed8a10e6487c03ad14d",
+     "e35f05fef6b33d303050d3b0b794c79f639d868194bb5ebdb63e7c3c341d1298"),
+    ("tiny-n3", E, TINY,
+     "2fc881d7d3e683a23a9b5b1d26c115d2f3b60e3d791dd48896805f95f129f517",
+     "468eee0f33144ba10441e203ae4f05f8da1c98bda1158944221b22dc1a9a5f05"),
+    ("tiny-n3", R, TINY,
+     "aed644784437489e909dc567dbb7a1e5deb72f7dc888ba9d19fc7372fb5490f8",
+     "f5cdcefebe148ce9af00a2c475e86530b13c321bc90f4cb673c8a044e03f5a79"),
+    ("tiny-n3", C, TINY,
+     "2fc881d7d3e683a23a9b5b1d26c115d2f3b60e3d791dd48896805f95f129f517",
+     "ea4c696599ecd58d12e417654c4f0073e9d0fdb07992236091987b207cc0228d"),
+]
+
+
+def rounds_digests(tmp_path, protocol, overrides) -> tuple[str, str]:
+    """SHA-256 of the rounds CSV, and of every round's full metrics
+    (`spent_j`, per-head spend, member counts and dead ids are not in the CSV)."""
+    result = run_simulation(NetworkConfig(protocol=protocol, **overrides))
+    assert result.lifetime.ldn_round is not None, "run must reach last death"
+    path = tmp_path / "rounds.csv"
+    write_rounds_csv(path, result.rounds)
+    return (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(repr(result.rounds).encode()).hexdigest())
+
+
+@pytest.mark.parametrize("name, protocol, overrides, csv_digest, metrics_digest", GOLDEN,
+                         ids=[f"{name}-{p.value}" for name, p, *_ in GOLDEN])
+def test_rounds_csv_digest(tmp_path, name, protocol, overrides, csv_digest, metrics_digest):
+    assert rounds_digests(tmp_path, protocol, overrides) == (csv_digest, metrics_digest)

@@ -40,6 +40,8 @@ class TestBuildHistogram:
         h = build_histogram([0.0, math.pi / 2, math.pi, 3 * math.pi / 2], 4)
         assert h.counts.tolist() == [1, 1, 1, 1]
         assert h.total == 4
+        gen = build_histogram((q * math.pi / 2 for q in range(4)), 4)
+        assert gen.counts.tolist() == [1, 1, 1, 1]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -227,39 +229,31 @@ class TestExhaustiveSearch:
 
 class TestMaterializeClusters:
     def test_quadrant_singletons(self):
-        area = AreaSpec(150.0, 4)
-        nodes = deploy(area, 1)
-        for node, deg in zip(nodes, (10.0, 100.0, 190.0, 280.0)):
-            node.angle = math.radians(deg)
+        angles = np.radians([10.0, 100.0, 190.0, 280.0])
         t = ThresholdSet((90, 180, 270), 4)
-        assignment = materialize_clusters(nodes, t, 360)
-        assert [c.member_ids for c in assignment.clusters] == [[0], [1], [2], [3]]
+        assert materialize_clusters(angles, t, 360).tolist() == [0, 1, 2, 3]
 
     def test_identical_angles_single_populated_cluster(self):
-        nodes = deploy(AreaSpec(150.0, 5), 2)
-        for node in nodes:
-            node.angle = 1.0
         t = ThresholdSet((90, 180, 270), 4)
-        assignment = materialize_clusters(nodes, t, 360)
-        sizes = [len(c.member_ids) for c in assignment.clusters]
-        assert sizes == [5, 0, 0, 0]
+        labels = materialize_clusters(np.full(5, 1.0), t, 360)
+        assert np.bincount(labels, minlength=t.k).tolist() == [5, 0, 0, 0]
 
-    def test_dead_node_rejected(self):
-        nodes = deploy(AreaSpec(150.0, 3), 3)
-        nodes[1].alive = False
+    def test_out_of_range_angle_rejected(self):
         with pytest.raises(ValueError):
-            materialize_clusters(nodes, ThresholdSet((180,), 2), 360)
+            materialize_clusters([1.0, 2 * math.pi], ThresholdSet((180,), 2), 360)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_partition_property(self, seed):
         rng = np.random.default_rng(seed)
-        nodes = deploy(AreaSpec(150.0, 100), rng)
+        angles = [n.angle for n in deploy(AreaSpec(150.0, 100), rng)]
         t = random_threshold_set(np.zeros(360), rng)
-        assignment = materialize_clusters(nodes, t, 360)
-        seen = [nid for c in assignment.clusters for nid in c.member_ids]
-        assert sorted(seen) == list(range(100))
-        assert len(assignment.clusters) == t.k
+        labels = materialize_clusters(angles, t, 360)
+        # one segment per node, the one whose bins hold its angle
+        bounds = (0, *t.thresholds, 360)
+        assert labels.shape == (100,)
+        for a, label in zip(angles, labels):
+            assert bounds[label] <= int(a * 360 / (2 * math.pi)) < bounds[label + 1]
 
 
 class TestThresholdSetValidation:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,24 @@ def test_tx_energy_multipath():
 def test_tx_energy_rejects_negative_distance():
     with pytest.raises(ValueError):
         tx_energy(DEFAULTS, 4000, -1.0)
+    with pytest.raises(ValueError):
+        tx_energy(DEFAULTS, 4000, np.array([1.0, -1.0]))
+
+
+def test_tx_energy_array_matches_plain_python():
+    # bit for bit, both branches: d ** 4 must be Python's, not numpy's power
+    dists = np.linspace(0.0, 300.0, 30_001)
+    d_th = distance_threshold(DEFAULTS)
+    plain = [4000 * DEFAULTS.e_elec + 4000 * DEFAULTS.e_fs * d * d if d <= d_th
+             else 4000 * DEFAULTS.e_elec + 4000 * DEFAULTS.e_mp * d ** 4
+             for d in dists.tolist()]
+    assert tx_energy(DEFAULTS, 4000, dists).tolist() == plain
+    assert tx_energy(DEFAULTS, 4000, 123.4) == plain[12_340]
+    # any scalar gives a float, numpy scalars and 0-d arrays included
+    for scalar in (100, np.int64(100), np.float32(100.0), np.float64(100.0),
+                   np.array(100.0)):
+        energy = tx_energy(DEFAULTS, 4000, scalar)
+        assert type(energy) is float and energy == plain[10_000]
 
 
 def test_rx_energy_values():

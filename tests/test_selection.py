@@ -4,19 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eerpms import (
-    ClusterAssignment,
-    Cluster,
     SelectionWeights,
     attribute_score,
     distance_to_ring,
     select_cluster_heads,
 )
-from eerpms.network import Node
 
 
-def make_node(nid, dist, residual, initial=0.5, alive=True):
-    return Node(id=nid, x=dist, y=0.0, distance_to_bs=dist, angle=0.0,
-                energy_initial=initial, energy_residual=residual, alive=alive)
+def elect(labels, dists, residuals, w, initial=0.5, k=None):
+    """Heads of `k` clusters (default: one per distinct label) over nodes
+    given by their labels, distances to the sink and residual energies."""
+    labels = np.asarray(labels)
+    k = int(labels.max()) + 1 if k is None else k
+    fraction = np.asarray(residuals, dtype=float) / initial
+    return select_cluster_heads(labels, k, fraction, np.asarray(dists, dtype=float), w)
+
+
+def plain_score(residual, initial, dist, lo, hi, w):
+    """The attribute score written out in plain Python."""
+    d = abs(dist - w.ring_radius_m)
+    distance_term = 1.0 if hi == lo else (hi - d) / (hi - lo)
+    return w.omega1 * residual / initial + w.omega2 * distance_term
 
 
 class TestDistanceToRing:
@@ -32,39 +40,37 @@ class TestDistanceToRing:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             distance_to_ring(-1.0, 90.0)
+        with pytest.raises(ValueError):
+            distance_to_ring(np.array([10.0, -1.0]), 90.0)
+
+    def test_array_matches_elementwise(self):
+        dists = np.array([0.0, 45.5, 90.0, 149.9])
+        assert distance_to_ring(dists, 90.0).tolist() == \
+            [distance_to_ring(d, 90.0) for d in dists]
 
 
 class TestAttributeScore:
     W = SelectionWeights(0.7, 0.3, 90.0)
 
     def test_perfect_candidate(self):
-        node = make_node(0, 90.0, 0.5)
-        assert attribute_score(node, 0.0, 30.0, self.W) == pytest.approx(1.0)
+        assert attribute_score(1.0, 0.0, 0.0, 30.0, self.W) == pytest.approx(1.0)
 
     def test_worst_candidate(self):
-        node = make_node(0, 150.0, 0.0)
-        node.alive = True  # zero energy but scored before the death flag flips
-        assert attribute_score(node, 0.0, 60.0, self.W) == pytest.approx(0.0)
+        # zero energy but scored before the death flag flips
+        assert attribute_score(0.0, 60.0, 0.0, 60.0, self.W) == pytest.approx(0.0)
 
     def test_midpoint_hand_value(self):
         # energy 0.5, distance term 0.5: 0.7*0.5 + 0.3*0.5 = 0.5
-        node = make_node(0, 120.0, 0.25)
-        assert attribute_score(node, 0.0, 60.0, self.W) == pytest.approx(0.5)
+        d = distance_to_ring(120.0, 90.0)
+        assert attribute_score(0.5, d, 0.0, 60.0, self.W) == pytest.approx(0.5)
 
     def test_degenerate_spread_gives_full_distance_term(self):
-        node = make_node(0, 120.0, 0.5)
         d = distance_to_ring(120.0, 90.0)
-        assert attribute_score(node, d, d, self.W) == pytest.approx(1.0)
-
-    def test_dead_node_rejected(self):
-        node = make_node(0, 90.0, 0.0, alive=False)
-        with pytest.raises(ValueError):
-            attribute_score(node, 0.0, 10.0, self.W)
+        assert attribute_score(1.0, d, d, d, self.W) == pytest.approx(1.0)
 
     def test_invalid_spread_rejected(self):
-        node = make_node(0, 90.0, 0.5)
         with pytest.raises(ValueError):
-            attribute_score(node, 10.0, 5.0, self.W)
+            attribute_score(1.0, 5.0, 10.0, 5.0, self.W)
 
     @settings(max_examples=100)
     @given(
@@ -73,58 +79,65 @@ class TestAttributeScore:
         spread=st.floats(0.0, 80.0),
     )
     def test_bounds(self, dist, residual, spread):
-        node = make_node(0, dist, residual)
         d = distance_to_ring(dist, 90.0)
         lo, hi = max(0.0, d - spread), d + spread
-        score = attribute_score(node, lo, hi, self.W)
+        score = attribute_score(residual / 0.5, d, lo, hi, self.W)
         assert -1e-12 <= score <= 1.0 + 1e-12
+
+    def test_array_matches_plain_python(self):
+        rng = np.random.default_rng(4)
+        dists = rng.uniform(0, 150, 12)
+        residuals = rng.uniform(0.0, 0.5, 12)
+        ring_d = distance_to_ring(dists, 90.0)
+        lo, hi = ring_d.min(), ring_d.max()
+        scores = attribute_score(residuals / 0.5, ring_d, lo, hi, self.W)
+        assert scores.tolist() == [plain_score(e, 0.5, d, lo, hi, self.W)
+                                   for e, d in zip(residuals, dists)]
 
 
 class TestSelectClusterHeads:
     W = SelectionWeights(0.7, 0.3, 90.0)
 
     def test_singleton_cluster(self):
-        nodes = [make_node(0, 42.0, 0.3)]
-        assignment = ClusterAssignment([Cluster(member_ids=[0])])
-        out = select_cluster_heads(assignment, nodes, self.W)
-        assert out.clusters[0].head_id == 0
+        assert elect([0], [42.0], [0.3], self.W).tolist() == [0]
 
     def test_higher_energy_wins_equal_distance(self):
-        nodes = [make_node(0, 80.0, 0.25), make_node(1, 100.0, 0.5)]
         # both 10 m off the ring: distance terms equal, energy decides
-        assignment = ClusterAssignment([Cluster(member_ids=[0, 1])])
-        out = select_cluster_heads(assignment, nodes, self.W)
-        assert out.clusters[0].head_id == 1
+        assert elect([0, 0], [80.0, 100.0], [0.25, 0.5], self.W).tolist() == [1]
 
     def test_tie_breaks_to_lowest_id(self):
-        nodes = [make_node(0, 85.0, 0.4), make_node(1, 85.0, 0.4)]
-        assignment = ClusterAssignment([Cluster(member_ids=[1, 0])])
-        out = select_cluster_heads(assignment, nodes, self.W)
-        assert out.clusters[0].head_id == 0
+        assert elect([0, 0], [85.0, 85.0], [0.4, 0.4], self.W).tolist() == [0]
 
     def test_empty_cluster_stays_headless(self):
-        out = select_cluster_heads(ClusterAssignment([Cluster()]), [], self.W)
-        assert out.clusters[0].head_id is None
+        assert elect([0, 0, 2], [85.0, 40.0, 100.0], [0.4, 0.4, 0.4], self.W,
+                     k=4).tolist() == [0, -1, 2, -1]
+        assert elect(np.full(0, -1), [], [], self.W, k=1).tolist() == [-1]
 
     def test_dead_member_rejected(self):
-        nodes = [make_node(0, 42.0, 0.0, alive=False)]
+        # the dead carry label -1: never elected, whatever their score
+        heads = elect([-1, 0, 0], [90.0, 20.0, 160.0], [0.5, 0.1, 0.1], self.W)
+        assert heads.tolist() == [1]
         with pytest.raises(ValueError):
-            select_cluster_heads(ClusterAssignment([Cluster(member_ids=[0])]),
-                                 nodes, self.W)
+            elect([0, 1], [42.0, 50.0], [0.3, 0.3], self.W, k=1)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_argmax_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        nodes = [make_node(i, float(rng.uniform(0, 150)), float(rng.uniform(0.01, 0.5)))
-                 for i in range(10)]
-        assignment = ClusterAssignment([Cluster(member_ids=list(range(10)))])
-        out = select_cluster_heads(assignment, nodes, self.W)
-        ring_d = [distance_to_ring(n.distance_to_bs, self.W.ring_radius_m) for n in nodes]
-        lo, hi = min(ring_d), max(ring_d)
-        scores = [attribute_score(n, lo, hi, self.W) for n in nodes]
-        best = max(range(10), key=lambda i: (scores[i], -i))
-        assert out.clusters[0].head_id == best
+        dists = [float(rng.uniform(0, 150)) for _ in range(10)]
+        residuals = [float(rng.uniform(0.01, 0.5)) for _ in range(10)]
+        labels = rng.integers(0, 3, size=10)
+        heads = elect(labels, dists, residuals, self.W, k=3)
+        for c in range(3):
+            members = [i for i in range(10) if labels[i] == c]
+            if not members:
+                assert heads[c] == -1
+                continue
+            ring_d = [abs(dists[i] - self.W.ring_radius_m) for i in members]
+            lo, hi = min(ring_d), max(ring_d)
+            scores = {i: plain_score(residuals[i], 0.5, dists[i], lo, hi, self.W)
+                      for i in members}
+            assert heads[c] == max(members, key=lambda i: (scores[i], -i))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31), scale=st.floats(0.05, 1.0))
@@ -136,24 +149,21 @@ class TestSelectClusterHeads:
         rng = np.random.default_rng(seed)
         side = rng.integers(0, 2, size=8)
         dists = [90.0 + (25.0 if s else -25.0) for s in side]
-        energies = [float(rng.uniform(0.05, 0.5)) for _ in range(8)]
-        base = [make_node(i, dists[i], energies[i]) for i in range(8)]
-        scaled = [make_node(i, dists[i], energies[i] * scale) for i in range(8)]
-        assignment = ClusterAssignment([Cluster(member_ids=list(range(8)))])
-        head_a = select_cluster_heads(assignment, base, self.W).clusters[0].head_id
-        head_b = select_cluster_heads(assignment, scaled, self.W).clusters[0].head_id
-        assert head_a == head_b
+        energies = np.array([float(rng.uniform(0.05, 0.5)) for _ in range(8)])
+        labels = np.zeros(8, dtype=np.int64)
+        head_a = elect(labels, dists, energies, self.W)
+        head_b = elect(labels, dists, energies * scale, self.W)
+        assert head_a.tolist() == head_b.tolist()
 
     def test_head_is_member_and_alive(self):
         rng = np.random.default_rng(0)
-        nodes = [make_node(i, float(rng.uniform(0, 150)), float(rng.uniform(0.01, 0.5)))
-                 for i in range(20)]
-        clusters = [Cluster(member_ids=[0, 1, 2]), Cluster(member_ids=[3, 4]),
-                    Cluster(member_ids=list(range(5, 20)))]
-        out = select_cluster_heads(ClusterAssignment(clusters), nodes, self.W)
-        for cluster in out.clusters:
-            assert cluster.head_id in cluster.member_ids
-            assert nodes[cluster.head_id].alive
+        dists = rng.uniform(0, 150, 20)
+        residuals = rng.uniform(0.01, 0.5, 20)
+        labels = np.array([0, 0, 0, 1, 1] + [2] * 15)
+        labels[[4, 9]] = -1  # dead
+        heads = elect(labels, dists, residuals, self.W)
+        for c, head in enumerate(heads):
+            assert labels[head] == c
 
 
 class TestWeightsValidation:

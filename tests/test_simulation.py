@@ -18,6 +18,11 @@ from eerpms import (
 FAST = dict(max_rounds=250)
 
 
+def alive_heads(sim):
+    """Ids of this round's heads that are still alive after it."""
+    return {int(h) for h in sim.heads if h >= 0 and sim.alive[h]}
+
+
 class TestDeploy:
     def test_deterministic_per_seed(self):
         area = AreaSpec(150.0, 50)
@@ -43,8 +48,9 @@ class TestDeploy:
             assert recon == pytest.approx(node.angle, abs=1e-9)
 
     def test_full_energy_at_start(self):
-        for node in deploy(AreaSpec(150.0, 10), 1, initial_energy_j=0.25):
-            assert node.energy_residual == node.energy_initial == 0.25
+        sim = Simulation(NetworkConfig(node_count=10, seed=1, initial_energy_j=0.25))
+        assert sim.energy.tolist() == [0.25] * 10
+        assert sim.alive.all()
 
 
 class TestEnergyAccounting:
@@ -53,10 +59,10 @@ class TestEnergyAccounting:
         config = NetworkConfig(protocol=protocol, seed=5, **FAST)
         sim = Simulation(config)
         total = config.node_count * config.initial_energy_j
-        assert math.fsum(n.energy_residual for n in sim.nodes) == pytest.approx(total)
+        assert math.fsum(sim.energy) == pytest.approx(total)
         prev = total
         for _ in range(config.max_rounds):
-            if not any(n.alive for n in sim.nodes):
+            if not sim.alive.any():
                 break
             m = sim.step()
             assert prev - m.total_residual_j == pytest.approx(
@@ -75,18 +81,17 @@ class TestEnergyAccounting:
     def test_initial_pool_matches_config(self):
         # 100 nodes at 0.5 J each
         sim = Simulation(NetworkConfig(seed=1))
-        assert math.fsum(n.energy_residual for n in sim.nodes) == pytest.approx(50.0)
+        assert math.fsum(sim.energy) == pytest.approx(50.0)
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_residual_never_increases(self, protocol):
         config = NetworkConfig(protocol=protocol, seed=2, **FAST)
         sim = Simulation(config)
-        before = {n.id: n.energy_residual for n in sim.nodes}
+        before = sim.energy.copy()
         for _ in range(80):
             sim.step()
-            for n in sim.nodes:
-                assert n.energy_residual <= before[n.id] + 1e-18
-                before[n.id] = n.energy_residual
+            assert (sim.energy <= before + 1e-18).all()
+            before = sim.energy.copy()
 
     def test_single_node_round_cost(self):
         config = NetworkConfig(node_count=1, seed=4, max_rounds=5)
@@ -99,13 +104,13 @@ class TestEnergyAccounting:
             + tx_energy(radio, radio.packet_bits, d_bs)
         assert m.spent_j == pytest.approx(expected, rel=1e-12)
         assert m.ch_count == 1
-        assert node.role == "head"
+        assert alive_heads(sim) == {node.id}
 
     def test_first_round_tracks_prediction(self):
         config = NetworkConfig(seed=8)
         sim = Simulation(config)
         m = sim.step()
-        heads = [n for n in sim.nodes if n.role == "head"]
+        heads = [sim.nodes[h] for h in alive_heads(sim)]
         mean_d = sum(h.distance_to_bs for h in heads) / len(heads)
         predicted = predicted_round_energy(
             AreaSpec(config.radius_m, config.node_count), config.radio,
@@ -130,7 +135,7 @@ class TestRoundStructure:
         config = NetworkConfig(protocol=protocol, seed=6, **FAST)
         sim = Simulation(config)
         for _ in range(40):
-            alive_before = sorted(n.id for n in sim.nodes if n.alive)
+            alive_before = np.flatnonzero(sim.alive).tolist()
             sim.step()
             if sim.assignment.round_created == sim.round_index:
                 members = sorted(
@@ -154,9 +159,9 @@ class TestRoundStructure:
         sim.step()
         assert sim.clustering_events == 1
         # kill one node by hand; the next round must rebuild the clusters
-        victim = next(n for n in sim.nodes if n.alive and n.role != "head")
-        victim.energy_residual = 0.0
-        victim.alive = False
+        victim = next(i for i in np.flatnonzero(sim.alive) if i not in sim.heads)
+        sim.energy[victim] = 0.0
+        sim.alive[victim] = False
         sim.step()
         assert sim.clustering_events == 2
 
@@ -195,7 +200,7 @@ class TestRleachElection:
         heads_per_round = []
         for _ in range(10):
             sim.step()
-            heads_per_round.append({n.id for n in sim.nodes if n.role == "head"})
+            heads_per_round.append(alive_heads(sim))
         seen = set()
         for heads in heads_per_round:
             assert not (heads & seen)
@@ -207,7 +212,7 @@ class TestRleachElection:
         epoch1, epoch2 = set(), set()
         for r in range(20):
             sim.step()
-            heads = {n.id for n in sim.nodes if n.role == "head"}
+            heads = alive_heads(sim)
             (epoch1 if r < 10 else epoch2).update(heads)
         assert epoch1 & epoch2  # some node serves in both epochs
 
@@ -223,7 +228,7 @@ class TestRleachElection:
         config = NetworkConfig(protocol=Protocol.RLEACH, seed=3)
         sim = Simulation(config)
         sim.step()
-        sim._eligible = [False] * config.node_count
+        sim._eligible[:] = False
         m = sim.step()
         assert m.ch_count == 0
         assert m.per_ch_energy_j == ()
@@ -262,7 +267,7 @@ class TestLifetime:
     def test_stepping_exhausted_network_raises(self):
         config = NetworkConfig(node_count=2, seed=5)
         sim = Simulation(config)
-        while any(n.alive for n in sim.nodes):
+        while sim.alive.any():
             sim.step()
         with pytest.raises(RuntimeError):
             sim.step()
