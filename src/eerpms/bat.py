@@ -55,12 +55,12 @@ def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
     """
     arr = np.clip(np.asarray(raw, dtype=np.int64), 1, bin_count - 1)
     arr = np.sort(arr, axis=1)
-    dim = arr.shape[1]
-    for j in range(1, dim):
-        arr[:, j] = np.maximum(arr[:, j], arr[:, j - 1] + 1)
+    # arr[j] = max(arr[j], arr[j-1] + 1) over j is a running max of arr[j] - j;
+    # the downward pass arr[j] = min(arr[j], arr[j+1] - 1) a reversed running min.
+    j = np.arange(arr.shape[1])
+    arr = np.maximum.accumulate(arr - j, axis=1) + j
     arr[:, -1] = np.minimum(arr[:, -1], bin_count - 1)
-    for j in range(dim - 2, -1, -1):
-        arr[:, j] = np.minimum(arr[:, j], arr[:, j + 1] - 1)
+    arr = np.minimum.accumulate((arr - j)[:, ::-1], axis=1)[:, ::-1] + j
     return arr
 
 
@@ -125,19 +125,17 @@ class BatSwarm:
 
         freq = p.s_min + (p.s_max - p.s_min) * rng.random((pop, dim))
         self.velocities = self.velocities + (self.positions - self.best_position) * freq
-        flight = _repair_many(
-            np.ceil(self.positions + self.velocities).astype(np.int64), bins
-        )
-        self.positions = flight
+        flight_raw = np.ceil(self.positions + self.velocities).astype(np.int64)
 
         # Local walk around the incumbent best, scaled by the mean loudness.
         # Rounded to nearest: with a sub-unit symmetric step, a ceiling could
         # never decrease a threshold and the walk would only drift upward.
         walk_draw = rng.random(pop)
         steps = rng.uniform(-1.0, 1.0, (pop, dim)) * float(self.loudness.mean())
-        walk = _repair_many(
-            np.rint(self.best_position + steps).astype(np.int64), bins
-        )
+        walk_raw = np.rint(self.best_position + steps).astype(np.int64)
+        repaired = _repair_many(np.vstack((flight_raw, walk_raw)), bins)
+        flight, walk = repaired[:pop], repaired[pop:]
+        self.positions = flight
         use_walk = walk_draw > self.pulse
         candidates = np.where(use_walk[:, None], walk, flight)
 

@@ -53,15 +53,17 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _count(raw: str) -> int:
-    """An argument that counts runs or samples: an integer of at least 1."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Argument type for an integer of at least `low` (a count or a seed)."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _resolve_out(flag_value: str | None) -> Path:
@@ -232,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle suites")
     p_verify.add_argument("--config", help="config file for constants")
     p_verify.add_argument("--out", help="output directory for landscape CSVs")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--seeds", type=_count, default=10,
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_verify.add_argument("--seeds", type=_int_at_least(1), default=10,
                           help="deployments for the simulated landscape")
-    p_verify.add_argument("--mc-samples", type=_count, default=1_000_000,
+    p_verify.add_argument("--mc-samples", type=_int_at_least(1), default=1_000_000,
                           dest="mc_samples")
-    p_verify.add_argument("--histograms", type=_count, default=50)
+    p_verify.add_argument("--histograms", type=_int_at_least(1), default=50)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -47,6 +47,8 @@ class NetworkConfig:
             raise ConfigError("node_count must be at least 1")
         if self.initial_energy_j <= 0:
             raise ConfigError("initial_energy_j must be strictly positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         for pair in (("alpha1", "alpha2"), ("omega1", "omega2")):
             a, b = (getattr(self, name) for name in pair)
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):

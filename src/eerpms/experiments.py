@@ -46,6 +46,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be non-negative")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep must be one of {SWEEP_AXES}")
         if self.sweep_axis == "node_count" and not self.node_counts:

@@ -22,14 +22,19 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
         return np.zeros(n, dtype=np.int64), points.mean(axis=0, keepdims=True)
 
     centers = points[rng.choice(n, size=k, replace=False)].copy()
-    exponent = 2.0 / (fuzziness - 1.0)
+    # u_ij = d_ij^-p / sum_l d_il^-p with p = 2/(m-1): O(nk) per iteration,
+    # and on squared distances it is d2 ** (-1/(m-1)), with no sqrt.
+    power = -1.0 / (fuzziness - 1.0)
+    px, py = points[:, 0, None], points[:, 1, None]
     membership = None
     for _ in range(max_iter):
-        dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-        zero_rows = dist < 1e-12
+        dx = px - centers[:, 0]
+        dy = py - centers[:, 1]
+        d2 = dx * dx + dy * dy
+        zero_rows = d2 < 1e-24  # exactly sqrt(d2) < 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (dist[:, :, None] / dist[:, None, :]) ** exponent
-            new_membership = 1.0 / np.sum(ratio, axis=2)
+            weight = d2 ** power
+            new_membership = weight / weight.sum(axis=1, keepdims=True)
         # points sitting exactly on a center belong to it outright
         on_center = zero_rows.any(axis=1)
         if on_center.any():

@@ -13,6 +13,7 @@ from eerpms import (
     optimize_thresholds,
     repair_position,
 )
+from eerpms.bat import _repair_many
 
 HALF = ObjectiveWeights(0.5, 0.5)
 
@@ -54,6 +55,45 @@ class TestRepairPosition:
         assert all(b > a for a, b in zip(t.thresholds, t.thresholds[1:]))
         again = repair_position(list(t.thresholds), bins)
         assert again.thresholds == t.thresholds
+
+
+def cascade_repair(row, bins):
+    """Per-column repair in plain Python: clamp, sort, push up, pull down."""
+    v = sorted(min(max(int(x), 1), bins - 1) for x in row)
+    for j in range(1, len(v)):
+        v[j] = max(v[j], v[j - 1] + 1)
+    v[-1] = min(v[-1], bins - 1)
+    for j in range(len(v) - 2, -1, -1):
+        v[j] = min(v[j], v[j + 1] - 1)
+    return v
+
+
+def random_raw(rng, rows, dim, bins):
+    """Raw thresholds: in range, just outside it, and far outside it."""
+    spread = int(rng.choice([bins, 3 * bins, 10**15]))
+    return rng.integers(-spread, spread + 1, size=(rows, dim))
+
+
+class TestRepairMany:
+    def test_matches_plain_cascade(self):
+        rng = np.random.default_rng(2024)
+        for bins in (2, 3, 4, 5, 8, 36, 360):
+            dims = set(range(1, min(bins - 1, 12) + 1)) | {bins - 1}
+            for dim in sorted(dims):
+                for _ in range(8):
+                    raw = random_raw(rng, int(rng.integers(1, 40)), dim, bins)
+                    got = _repair_many(raw, bins)
+                    want = [cascade_repair(row, bins) for row in raw.tolist()]
+                    assert got.tolist() == want, (bins, dim, raw.tolist())
+
+    def test_stacked_call_equals_separate_calls(self):
+        rng = np.random.default_rng(7)
+        for bins, dim in ((2, 1), (36, 5), (360, 9), (12, 11)):
+            a = random_raw(rng, 30, dim, bins)
+            b = random_raw(rng, 30, dim, bins)
+            both = _repair_many(np.vstack((a, b)), bins)
+            np.testing.assert_array_equal(both[:30], _repair_many(a, bins))
+            np.testing.assert_array_equal(both[30:], _repair_many(b, bins))
 
 
 def toy_histogram(seed=0, bins=36):

@@ -71,6 +71,15 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--protocol", "FIGWO")
         assert code == 1
 
+    def test_negative_seed_is_config_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--seed", "-1",
+                                 "--out", str(out_dir))
+        assert code == 1
+        assert "seed must be non-negative" in err
+        assert out == ""
+        assert not out_dir.exists()
+
 
 class TestSweep:
     def test_runs_spec_file(self, capsys, tmp_path):
@@ -98,6 +107,23 @@ class TestSweep:
         assert "error" in err
 
 
+    def test_negative_seed_is_config_error(self, capsys, tmp_path):
+        spec = tmp_path / "exp.ini"
+        spec.write_text(
+            "[experiment]\n"
+            "protocols = RLEACH\n"
+            "seeds = 1, -1\n"
+            "[network]\n"
+            "node_count = 10\n"
+        )
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(capsys, "sweep", str(spec), "--out", str(out_dir))
+        assert code == 1
+        assert "seeds must be non-negative" in err
+        assert out == ""
+        assert not out_dir.exists()  # rejected before the output directory is made
+
+
 class TestVerify:
     def test_quick_run_emits_landscapes(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -123,6 +149,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path), flag, "abc")
         assert code == 1
         assert f"argument {flag}: must be an integer, got 'abc'" in err
+        assert out == ""
+
+
+    def test_negative_seed_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path), "--seed", "-1")
+        assert code == 1
+        assert "argument --seed: must be at least 0, got -1" in err
         assert out == ""
 
 

@@ -94,6 +94,16 @@ def test_value_ranges_validated():
         NetworkConfig(max_rounds=0)
 
 
+def test_negative_seed_rejected(tmp_path):
+    NetworkConfig(seed=0)  # numpy accepts 0, so it is a valid seed
+    with pytest.raises(ConfigError, match="seed"):
+        NetworkConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        NetworkConfig().with_overrides(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        load_network_config(write(tmp_path, "[network]\nseed = -1\n"))
+
+
 def test_overrides_round_trip():
     config = NetworkConfig().with_overrides(seed=9, protocol=Protocol.CRPFCM)
     assert config.seed == 9
