@@ -35,8 +35,8 @@ from .radio import (
     rx_energy,
     tx_energy,
 )
-from .selection import SelectionWeights, attribute_score, distance_to_ring, \
-    select_cluster_heads
+from .selection import ElectionTerms, SelectionWeights, attribute_score, \
+    distance_to_ring, select_cluster_heads
 from .simulation import (
     LifetimeSummary,
     RoundMetrics,

@@ -35,6 +35,9 @@ class BatParams:
             raise ValueError("population must be at least 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        for name in ("s_min", "s_max", "loudness0", "gamma_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.s_min > self.s_max:
             raise ValueError("s_min must not exceed s_max")
         if self.loudness0 <= 0:
@@ -51,16 +54,23 @@ def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
     """Clamp, sort and deduplicate a (batch, dim) matrix of raw thresholds.
 
     Duplicates cascade upward to the nearest free level; if the top fills
-    up, the tail is pulled back down from the last valid level.
+    up, the tail is pulled back down from the last valid level. Returns a
+    new array; `raw` is left as it was.
     """
-    arr = np.clip(np.asarray(raw, dtype=np.int64), 1, bin_count - 1)
-    arr = np.sort(arr, axis=1)
+    arr = np.maximum(np.asarray(raw, dtype=np.int64), 1)
+    np.minimum(arr, bin_count - 1, out=arr)
+    arr.sort(axis=1)
     # arr[j] = max(arr[j], arr[j-1] + 1) over j is a running max of arr[j] - j;
     # the downward pass arr[j] = min(arr[j], arr[j+1] - 1) a reversed running min.
     j = np.arange(arr.shape[1])
-    arr = np.maximum.accumulate(arr - j, axis=1) + j
-    arr[:, -1] = np.minimum(arr[:, -1], bin_count - 1)
-    arr = np.minimum.accumulate((arr - j)[:, ::-1], axis=1)[:, ::-1] + j
+    arr -= j
+    np.maximum.accumulate(arr, axis=1, out=arr)
+    arr += j
+    np.minimum(arr[:, -1], bin_count - 1, out=arr[:, -1])
+    arr -= j
+    backward = arr[:, ::-1]
+    np.minimum.accumulate(backward, axis=1, out=backward)
+    arr += j
     return arr
 
 
@@ -107,6 +117,7 @@ class BatSwarm:
                                          size=(pop - seeded, dim))
         self.positions = _repair_many(raw, histogram.bin_count)
         self.velocities = np.zeros((pop, dim))
+        self._raw = np.empty((2 * pop, dim), dtype=np.int64)  # flight, then walk
         self.loudness = np.full(pop, params.loudness0)
         self.pulse = np.zeros(pop)
         self.iteration = 0
@@ -124,16 +135,17 @@ class BatSwarm:
         bins = self.histogram.bin_count
 
         freq = p.s_min + (p.s_max - p.s_min) * rng.random((pop, dim))
-        self.velocities = self.velocities + (self.positions - self.best_position) * freq
-        flight_raw = np.ceil(self.positions + self.velocities).astype(np.int64)
+        self.velocities += (self.positions - self.best_position) * freq
+        raw = self._raw
+        np.ceil(self.positions + self.velocities, out=raw[:pop], casting="unsafe")
 
         # Local walk around the incumbent best, scaled by the mean loudness.
         # Rounded to nearest: with a sub-unit symmetric step, a ceiling could
         # never decrease a threshold and the walk would only drift upward.
         walk_draw = rng.random(pop)
-        steps = rng.uniform(-1.0, 1.0, (pop, dim)) * float(self.loudness.mean())
-        walk_raw = np.rint(self.best_position + steps).astype(np.int64)
-        repaired = _repair_many(np.vstack((flight_raw, walk_raw)), bins)
+        steps = rng.uniform(-1.0, 1.0, (pop, dim)) * (self.loudness.sum() / pop)
+        np.rint(self.best_position + steps, out=raw[pop:], casting="unsafe")
+        repaired = _repair_many(raw, bins)
         flight, walk = repaired[:pop], repaired[pop:]
         self.positions = flight
         use_walk = walk_draw > self.pulse

@@ -45,8 +45,8 @@ class NetworkConfig:
             raise ConfigError("radius_m must be strictly positive")
         if self.node_count < 1:
             raise ConfigError("node_count must be at least 1")
-        if self.initial_energy_j <= 0:
-            raise ConfigError("initial_energy_j must be strictly positive")
+        if not (self.initial_energy_j > 0 and math.isfinite(self.initial_energy_j)):
+            raise ConfigError("initial_energy_j must be strictly positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for pair in (("alpha1", "alpha2"), ("omega1", "omega2")):
@@ -57,8 +57,9 @@ class NetworkConfig:
                 raise ConfigError(f"{pair[0]} + {pair[1]} must equal 1")
         if self.k_clusters is not None and self.k_clusters < 1:
             raise ConfigError("k_clusters must be at least 1 (or auto)")
-        if self.ring_radius_m is not None and self.ring_radius_m < 0:
-            raise ConfigError("ring_radius_m must be non-negative (or auto)")
+        if self.ring_radius_m is not None and not (
+                self.ring_radius_m >= 0 and math.isfinite(self.ring_radius_m)):
+            raise ConfigError("ring_radius_m must be non-negative and finite (or auto)")
         if self.bin_count < 2:
             raise ConfigError("bin_count must be at least 2")
         if self.max_rounds < 1:

@@ -118,6 +118,17 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
 # --- CSV emission -------------------------------------------------------------
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write `lines` to `path` through a temporary file in the same directory,
+    so that `path` never holds a partly written file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", newline="\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_rounds_csv(path: Path, rounds: list[RoundMetrics]) -> None:
     lines = [ROUND_CSV_HEADER]
     for m in rounds:
@@ -125,7 +136,7 @@ def write_rounds_csv(path: Path, rounds: list[RoundMetrics]) -> None:
             f"{m.round_index},{m.alive_count},{m.total_residual_j!r},{m.ch_count},"
             f"{m.ch_energy_mean_j!r},{m.ch_energy_var!r},{len(m.dead_node_ids)}"
         )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(path, lines)
 
 
 @dataclass(frozen=True)
@@ -197,7 +208,7 @@ def write_summary_csv(path: Path, rows: list[SummaryRow]) -> None:
             f"{r.protocol.value},{r.sweep},{r.value},{r.n_seeds},{r.fdn_mean!r},"
             f"{r.fdn_sd!r},{r.hdn_mean!r},{r.hdn_sd!r},{r.ldn_mean!r},{r.ldn_sd!r}"
         )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(path, lines)
 
 
 def write_improvements_csv(path: Path, improvements: list[dict]) -> None:
@@ -208,14 +219,14 @@ def write_improvements_csv(path: Path, improvements: list[dict]) -> None:
             f"{imp['fdn_improvement_pct']!r},{imp['hdn_improvement_pct']!r},"
             f"{imp['ldn_improvement_pct']!r}"
         )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(path, lines)
 
 
 def write_landscape_csv(path: Path, rows: list[tuple[int, float, float]]) -> None:
     lines = [LANDSCAPE_CSV_HEADER]
     for k, d, e in rows:
         lines.append(f"{k},{d!r},{e!r}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(path, lines)
 
 
 # --- energy landscape ---------------------------------------------------------
@@ -320,6 +331,9 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         write_landscape_csv(path, rows)
         return [path]
 
+    # a summary.csv in the directory means the run that wrote it finished
+    for name in ("summary.csv", "improvements.csv"):
+        (spec.output_dir / name).unlink(missing_ok=True)
     cells = _cell_configs(spec)
     lifetimes: dict[tuple[Protocol, str], list[LifetimeSummary]] = {}
     for protocol in spec.protocols:

@@ -10,6 +10,7 @@ metaheuristic optimizer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,6 +95,27 @@ class AngleHistogram:
     def __repr__(self) -> str:
         return f"AngleHistogram(bins={self.bin_count}, total={self.total})"
 
+    @functools.cached_property
+    def segment_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every segment's f1 term and node count, for lookup by boundary rank.
+
+        Returns (rank, f1_terms, counts). `rank[b]` is the number of occupied
+        bins below boundary b: the prefix sums stay bitwise constant across
+        empty bins (each adds 0.0), so boundaries of equal rank give equal
+        segment statistics. Entry [ra * width + rb] of the flat (width**2,)
+        tables, width = occupied bins + 1, holds the segment from rank ra to
+        rank rb, computed with the elementwise formulas of the direct form.
+        """
+        rank = np.concatenate(([0], np.cumsum(self.counts > 0)))
+        first = np.flatnonzero(np.diff(rank, prepend=-1))  # one boundary per rank
+        cum_p, cum_ip, cum_counts = self.cum_p[first], self.cum_ip[first], self.cum_counts[first]
+        mass = cum_p[None, :] - cum_p[:, None]
+        weighted = cum_ip[None, :] - cum_ip[:, None]
+        u = np.divide(weighted, mass, out=np.zeros_like(weighted), where=mass > 0)
+        f1_terms = mass * (u - self.mean) ** 2
+        counts = cum_counts[None, :] - cum_counts[:, None]
+        return rank, f1_terms.ravel(), counts.ravel()
+
 
 def _angle_bins(angles, bin_count: int) -> np.ndarray:
     """Bin index of each angle in [0, 2*pi); the top edge folds into the last bin."""
@@ -164,23 +186,22 @@ def objective_f1(h: AngleHistogram, t: ThresholdSet, w: ObjectiveWeights) -> flo
 
 def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
                             w: ObjectiveWeights) -> np.ndarray:
-    """Vectorized objective over a (batch, k-1) matrix of sorted thresholds."""
+    """Vectorized objective over a (batch, k-1) matrix of sorted thresholds,
+    read from the histogram's segment table."""
     tmat = np.asarray(tmat, dtype=np.int64)
     if tmat.ndim != 2:
         raise ValueError("expected a 2-D threshold matrix")
     batch, dim = tmat.shape
     k = dim + 1
-    bounds = np.empty((batch, k + 1), dtype=np.int64)
-    bounds[:, 0] = 0
-    bounds[:, -1] = h.bin_count
-    if dim:
-        bounds[:, 1:-1] = tmat
-    mass = h.cum_p[bounds[:, 1:]] - h.cum_p[bounds[:, :-1]]
-    weighted = h.cum_ip[bounds[:, 1:]] - h.cum_ip[bounds[:, :-1]]
-    counts = h.cum_counts[bounds[:, 1:]] - h.cum_counts[bounds[:, :-1]]
-    u = np.divide(weighted, mass, out=np.zeros_like(weighted), where=mass > 0)
-    f1 = np.sum(mass * (u - h.mean) ** 2, axis=1)
-    f2 = np.sum((counts - h.total / k) ** 2, axis=1) / h.total
+    rank, f1_terms, seg_counts = h.segment_table
+    width = rank[-1] + 1
+    ranks = np.empty((batch, k + 1), dtype=np.int64)
+    ranks[:, 0] = 0
+    ranks[:, -1] = rank[-1]
+    ranks[:, 1:-1] = rank[tmat]
+    seg = ranks[:, :-1] * width + ranks[:, 1:]
+    f1 = np.sum(f1_terms[seg], axis=1)
+    f2 = np.sum((seg_counts[seg] - h.total / k) ** 2, axis=1) / h.total
     f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
     return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
 

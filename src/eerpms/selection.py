@@ -36,6 +36,13 @@ def distance_to_ring(node_bs_distance, ring_radius: float):
     return np.abs(d - ring_radius)
 
 
+def _distance_term(ring_d, cluster_min_d, cluster_max_d):
+    gap = np.subtract(cluster_max_d, ring_d)
+    spread = np.subtract(cluster_max_d, cluster_min_d)
+    return np.divide(gap, spread, out=np.ones(np.broadcast(gap, spread).shape),
+                     where=spread != 0)
+
+
 def attribute_score(energy_fraction, ring_d, cluster_min_d, cluster_max_d,
                     w: SelectionWeights):
     """Head-election score in [0, 1]; higher is better. Takes floats or
@@ -49,35 +56,52 @@ def attribute_score(energy_fraction, ring_d, cluster_min_d, cluster_max_d,
     """
     if np.any(np.greater(cluster_min_d, cluster_max_d)):
         raise ValueError("cluster_min_d must not exceed cluster_max_d")
-    gap = np.subtract(cluster_max_d, ring_d)
-    spread = np.subtract(cluster_max_d, cluster_min_d)
-    distance_term = np.divide(gap, spread, out=np.ones(np.broadcast(gap, spread).shape),
-                              where=spread != 0)
+    distance_term = _distance_term(ring_d, cluster_min_d, cluster_max_d)
     return w.omega1 * energy_fraction + w.omega2 * distance_term
 
 
-def select_cluster_heads(labels, k: int, energy_fraction, distance_to_bs,
-                         w: SelectionWeights) -> np.ndarray:
-    """Elect the highest-scoring member of each of `k` clusters.
+class ElectionTerms:
+    """The part of head election that one clustering fixes.
 
     `labels[i]` is node i's cluster in 0..k-1, or -1 for a node outside
-    every cluster (the dead). `energy_fraction` and `distance_to_bs` are
-    arrays with one entry per node. Returns each cluster's head id, -1 for
-    an empty cluster. Ties break toward the lowest node id.
+    every cluster (the dead); `distance_to_bs` has one entry per node. The
+    members are held grouped by (cluster, id) with their weighted distance
+    term `omega2 * term`, so that a round's election only adds the energy
+    term and takes each group's maximum.
     """
-    if (labels >= k).any():
-        raise ValueError("labels must lie in -1..k-1")
-    ids = np.flatnonzero(labels >= 0)
-    lab = labels[ids]
-    ring_d = distance_to_ring(distance_to_bs[ids], w.ring_radius_m)
-    d_min = np.full(k, np.inf)
-    d_max = np.full(k, -np.inf)
-    np.minimum.at(d_min, lab, ring_d)
-    np.maximum.at(d_max, lab, ring_d)
-    score = attribute_score(energy_fraction[ids], ring_d, d_min[lab], d_max[lab], w)
-    # by cluster, best score first, lowest id among equals
-    order = np.lexsort((ids, -score, lab))
-    first = order[np.diff(lab[order], prepend=-1) != 0]
-    heads = np.full(k, -1)
-    heads[lab[first]] = ids[first]
+
+    def __init__(self, labels, k: int, distance_to_bs, w: SelectionWeights) -> None:
+        labels = np.asarray(labels)
+        if (labels >= k).any():
+            raise ValueError("labels must lie in -1..k-1")
+        ids = np.flatnonzero(labels >= 0)
+        ids = ids[np.argsort(labels[ids], kind="stable")]
+        lab = labels[ids]
+        starts = np.flatnonzero(np.diff(lab, prepend=-1))   # each non-empty cluster
+        sizes = np.diff(starts, append=ids.size)
+        ring_d = distance_to_ring(np.asarray(distance_to_bs)[ids], w.ring_radius_m)
+        d_min = np.repeat(np.minimum.reduceat(ring_d, starts), sizes)
+        d_max = np.repeat(np.maximum.reduceat(ring_d, starts), sizes)
+        self.k = k
+        self.omega1 = w.omega1
+        self.ids = ids
+        self.starts = starts
+        self.clusters = lab[starts]
+        self.group = np.repeat(np.arange(starts.size), sizes)
+        self.distance_term = w.omega2 * _distance_term(ring_d, d_min, d_max)
+
+
+def select_cluster_heads(terms: ElectionTerms, energy_fraction) -> np.ndarray:
+    """Elect the highest-scoring member of each of the `terms.k` clusters.
+
+    `energy_fraction` holds residual over initial energy, one entry per
+    node. Returns each cluster's head id, -1 for an empty cluster. Ties
+    break toward the lowest node id.
+    """
+    score = terms.omega1 * energy_fraction[terms.ids] + terms.distance_term
+    best = np.maximum.reduceat(score, terms.starts)
+    top = np.flatnonzero(score == best[terms.group])
+    heads = np.full(terms.k, -1)
+    # members are in id order within a cluster, so its first top score has the lowest id
+    heads[terms.clusters] = terms.ids[top[np.searchsorted(top, terms.starts)]]
     return heads

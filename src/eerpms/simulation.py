@@ -23,7 +23,7 @@ from .fcm import fuzzy_c_means
 from .network import Cluster, ClusterAssignment, Node, Protocol
 from .otsu import ObjectiveWeights, ThresholdSet, build_histogram, materialize_clusters
 from .radio import aggregation_energy, rx_energy, tx_energy
-from .selection import SelectionWeights, select_cluster_heads
+from .selection import ElectionTerms, SelectionWeights, select_cluster_heads
 from .theory import AreaSpec, optimal_ch_distance, optimal_cluster_count
 
 _TWO_PI = 2.0 * math.pi
@@ -113,6 +113,7 @@ class Simulation:
         self.round_index = 0
         self.assignment: ClusterAssignment | None = None
         self.current_k = 0
+        self._election: ElectionTerms | None = None
         self.last_clustered_alive: int | None = None
         self.clustering_events = 0
         # rx_sums[j]: j receptions added one at a time, as a head pays them
@@ -158,15 +159,22 @@ class Simulation:
         for cluster, head in zip(self.assignment.clusters, heads.tolist()):
             cluster.head_id = head if head >= 0 else None
 
-    def _select_heads(self) -> None:
+    def _cluster_for_election(self, labels, k_eff: int, k: int) -> None:
+        """Cluster the alive nodes into `k_eff` clusters, planned for `k`, and
+        fix the election terms until the next reclustering; the ring radius
+        depends only on the alive count and `k`."""
+        self._set_clusters(labels, k_eff)
+        self.current_k = k
         weights = SelectionWeights(
             omega1=self.config.omega1,
             omega2=self.config.omega2,
-            ring_radius_m=self._ring_radius(int(self.alive.sum()), max(1, self.current_k)),
+            ring_radius_m=self._ring_radius(self.last_clustered_alive, max(1, k)),
         )
+        self._election = ElectionTerms(self.labels, k_eff, self.d_bs, weights)
+
+    def _select_heads(self) -> None:
         self._set_heads(select_cluster_heads(
-            self.labels, len(self.assignment.clusters),
-            self.energy / self.config.initial_energy_j, self.d_bs, weights))
+            self._election, self.energy / self.config.initial_energy_j))
 
     def _transmit(self) -> RoundMetrics:
         """Charge the round's costs and emit metrics.
@@ -244,8 +252,8 @@ class Simulation:
             else:
                 bat = replace(self.config.bat, seed=int(self.rng.integers(0, 2 ** 63)))
                 tset, _ = optimize_thresholds(hist, k, weights, bat)
-            self._set_clusters(materialize_clusters(angles, tset, self.config.bin_count), k)
-            self.current_k = k
+            self._cluster_for_election(
+                materialize_clusters(angles, tset, self.config.bin_count), k, k)
         self._select_heads()
         return self._transmit()
 
@@ -255,8 +263,7 @@ class Simulation:
             k = self._cluster_count(len(points))
             k_eff = min(k, len(points))
             labels, _ = fuzzy_c_means(points, k_eff, self.rng)
-            self._set_clusters(labels, k_eff)
-            self.current_k = k
+            self._cluster_for_election(labels, k_eff, k)
         self._select_heads()
         return self._transmit()
 

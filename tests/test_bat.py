@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +135,20 @@ class TestOptimizeThresholds:
             hits += found >= 0.99 * best
         assert hits >= 24
 
+    def test_one_run_builds_the_segment_table_once(self, monkeypatch):
+        built = []
+        build = AngleHistogram.segment_table.func
+
+        def counted(h):
+            built.append(h)
+            return build(h)
+        table = functools.cached_property(counted)
+        table.__set_name__(AngleHistogram, "segment_table")
+        monkeypatch.setattr(AngleHistogram, "segment_table", table)
+        h = toy_histogram(11, bins=360)
+        optimize_thresholds(h, 10, HALF, BatParams(seed=5))
+        assert built == [h]
+
     def test_result_is_valid_threshold_set(self):
         h = toy_histogram(11, bins=360)
         t, _ = optimize_thresholds(h, 10, HALF, BatParams(seed=5))
@@ -193,6 +210,12 @@ class TestBatParamsValidation:
     def test_bad_frequency_bounds(self):
         with pytest.raises(ValueError):
             BatParams(s_min=3.0, s_max=1.0)
+
+    @pytest.mark.parametrize("name", ["s_min", "s_max", "loudness0", "gamma_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BatParams(**{name: value})
 
     def test_bad_decay(self):
         with pytest.raises(ValueError):

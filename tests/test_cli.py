@@ -80,6 +80,21 @@ class TestSimulate:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("text", ["[network]\ninitial_energy_j = nan\n",
+                                      "[selection]\nring_radius_m = inf\n",
+                                      "[bat]\ns_min = nan\n",
+                                      "[bat]\nloudness = inf\n"])
+    def test_non_finite_value_is_config_error(self, capsys, tmp_path, text):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--out", str(out_dir))
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
+        assert not out_dir.exists()
+
 
 class TestSweep:
     def test_runs_spec_file(self, capsys, tmp_path):

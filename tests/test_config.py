@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,23 @@ def test_negative_seed_rejected(tmp_path):
         NetworkConfig().with_overrides(seed=-1)
     with pytest.raises(ConfigError, match="seed"):
         load_network_config(write(tmp_path, "[network]\nseed = -1\n"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(value):
+    with pytest.raises(ConfigError, match="initial_energy_j"):
+        NetworkConfig(initial_energy_j=value)
+    with pytest.raises(ConfigError, match="ring_radius_m"):
+        NetworkConfig(ring_radius_m=value)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("network", "initial_energy_j"), ("selection", "ring_radius_m"),
+    ("bat", "s_min"), ("bat", "s_max"), ("bat", "loudness"), ("bat", "pulse_growth")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_ini_values_rejected(tmp_path, section, key, value):
+    with pytest.raises(ConfigError):
+        load_network_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
 
 def test_overrides_round_trip():

@@ -12,6 +12,7 @@ from eerpms import (
     run_experiment,
     summarize_lifetime,
 )
+from eerpms import experiments
 from eerpms.experiments import ROUND_CSV_HEADER, write_rounds_csv
 from eerpms.simulation import LifetimeSummary, run_simulation
 
@@ -56,6 +57,34 @@ class TestRunExperiment:
         paths_b = run_experiment(spec_b)
         for pa, pb in zip(sorted(paths_a), sorted(paths_b)):
             assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("fault", ["simulation", "replace"])
+    def test_failed_rerun_leaves_no_summary(self, tmp_path, monkeypatch, fault):
+        # an earlier complete run, then a rerun into the same directory that
+        # fails at its second rounds file: in a simulation, or in the rename
+        spec = small_spec(tmp_path)
+        run_experiment(spec)
+        assert (spec.output_dir / "summary.csv").is_file()
+        calls = []
+
+        def failing(real):
+            def call(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise RuntimeError("injected fault")
+                return real(*args, **kwargs)
+            return call
+        if fault == "simulation":
+            monkeypatch.setattr(experiments, "run_simulation",
+                                failing(experiments.run_simulation))
+        else:
+            monkeypatch.setattr(experiments.os, "replace", failing(experiments.os.replace))
+        with pytest.raises(RuntimeError, match="injected fault"):
+            run_experiment(spec)
+        names = {p.name for p in spec.output_dir.iterdir()}
+        assert "summary.csv" not in names and "improvements.csv" not in names
+        assert not [n for n in names if n.endswith(".tmp")]
+        assert len(names) == 6  # the rounds files, each whole
 
     def test_summary_recomputable_from_round_csvs(self, tmp_path):
         # tiny batteries so first deaths happen inside the round budget

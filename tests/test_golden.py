@@ -16,6 +16,10 @@ from eerpms.experiments import write_rounds_csv
 E, R, C = Protocol.EERPMS, Protocol.RLEACH, Protocol.CRPFCM
 AUTO = dict(node_count=60, seed=4, k_clusters=None, ring_radius_m=None)
 TINY = dict(node_count=3, seed=5, initial_energy_j=0.01)
+# Large deployments: more occupied bins than the N=100 cases, so the bat's
+# segment table has up to min(N, bins) + 1 ranks; 0.1 J makes every node die
+# within 300 rounds, so each run reclusters 80-125 times.
+LARGE = dict(seed=1, max_rounds=300, initial_energy_j=0.1)
 
 GOLDEN = [
     ("paper-seed1", E, dict(seed=1),
@@ -63,6 +67,18 @@ GOLDEN = [
     ("tiny-n3", C, TINY,
      "2fc881d7d3e683a23a9b5b1d26c115d2f3b60e3d791dd48896805f95f129f517",
      "ea4c696599ecd58d12e417654c4f0073e9d0fdb07992236091987b207cc0228d"),
+    ("n250-b360", E, dict(LARGE, node_count=250, bin_count=360),
+     "fbbfedfa07c2b919e21afe59fecf4f34cf06fc484c419f6a9c42efd3ececec93",
+     "a364644a01a31b6ba5bd5bfc52600947867ba9706ae3da498fdb1a9324ad986f"),
+    ("n250-b720", E, dict(LARGE, node_count=250, bin_count=720),
+     "68c86d6ef1087e617f9b64dd2490616550f8cd387f43b540ac403d5ba213af39",
+     "45af9e989268d4da17469ba79c5d80689945a830ccb25a80af8c4db7e0e5f737"),
+    ("n1000-b360", E, dict(LARGE, node_count=1000, bin_count=360),
+     "30924a56a44ba3cf9e07b9272216d18c88f8e4e5fa3b4faf7d33a4120097302f",
+     "112443d492b7d46c64eac9f4c1e92d99362d0ff4b6fd6b1bb91bb89043e2ca9f"),
+    ("n1000-b720", E, dict(LARGE, node_count=1000, bin_count=720),
+     "85f63737a76659feeaccfb126fe23c4171cf4a63bf60ce566f3292bd65092a14",
+     "72013fd2b2a199ffc059a3fbaec072d3118e3ba23812379f2dcb01ed9ef8aecc"),
 ]
 
 

@@ -181,6 +181,92 @@ class TestObjective:
             ObjectiveWeights(-0.1, 1.1)
 
 
+def six_gather_objective(h, tmat, w):
+    """The objective read straight from the prefix sums: six gathers and three
+    subtractions per call, no segment table."""
+    tmat = np.asarray(tmat, dtype=np.int64)
+    batch, dim = tmat.shape
+    k = dim + 1
+    bounds = np.empty((batch, k + 1), dtype=np.int64)
+    bounds[:, 0] = 0
+    bounds[:, -1] = h.bin_count
+    if dim:
+        bounds[:, 1:-1] = tmat
+    mass = h.cum_p[bounds[:, 1:]] - h.cum_p[bounds[:, :-1]]
+    weighted = h.cum_ip[bounds[:, 1:]] - h.cum_ip[bounds[:, :-1]]
+    counts = h.cum_counts[bounds[:, 1:]] - h.cum_counts[bounds[:, :-1]]
+    u = np.divide(weighted, mass, out=np.zeros_like(weighted), where=mass > 0)
+    f1 = np.sum(mass * (u - h.mean) ** 2, axis=1)
+    f2 = np.sum((counts - h.total / k) ** 2, axis=1) / h.total
+    f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
+    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
+
+
+def sorted_threshold_rows(rng, bins, k, batch):
+    """`batch` strictly increasing rows of k-1 thresholds in 1..bins-1."""
+    base = np.sort(rng.integers(1, bins - k + 2, size=(batch, k - 1)), axis=1)
+    return base + np.arange(k - 1)
+
+
+class TestSegmentTable:
+    W = ObjectiveWeights(0.3, 0.7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), bins=st.integers(2, 720),
+           occupied=st.floats(0.0, 1.0), k_draw=st.floats(0.0, 1.0),
+           rows=st.integers(1, 65536))
+    def test_matches_six_gather_reference(self, seed, bins, occupied, k_draw, rows):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 6, size=bins) * (rng.random(bins) < occupied)
+        counts[rng.integers(bins)] += 1
+        h = AngleHistogram(counts)
+        k = 1 + int(k_draw * (bins - 1))
+        batch = max(1, min(rows, 2**18 // (k + 1)))  # at most 2**18 boundaries per call
+        tmat = sorted_threshold_rows(rng, bins, k, batch)
+        assert np.array_equal(evaluate_threshold_sets(h, tmat, self.W),
+                              six_gather_objective(h, tmat, self.W))
+
+    @pytest.mark.parametrize("bins, k, rows", [(2, 1, 1), (2, 2, 65536), (360, 10, 65536),
+                                                (720, 720, 1), (720, 3, 65536)])
+    def test_extremes_match_six_gather_reference(self, bins, k, rows):
+        rng = np.random.default_rng(bins + k)
+        counts = rng.integers(0, 3, size=bins)
+        counts[0] += 1
+        h = AngleHistogram(counts)
+        tmat = sorted_threshold_rows(rng, bins, k, rows)
+        assert np.array_equal(evaluate_threshold_sets(h, tmat, self.W),
+                              six_gather_objective(h, tmat, self.W))
+
+    @pytest.mark.parametrize("bins", [2, 36, 360, 720])
+    def test_single_occupied_bin(self, bins):
+        counts = np.zeros(bins, dtype=int)
+        counts[bins // 3] = 7
+        h = AngleHistogram(counts)
+        assert h.variance == 0.0
+        rank, _, _ = h.segment_table
+        assert rank[-1] == 1  # two ranks: below and above the one occupied bin
+        rng = np.random.default_rng(bins)
+        for k in sorted({1, 2, bins // 2, bins}):
+            tmat = sorted_threshold_rows(rng, bins, k, 500)
+            assert np.array_equal(evaluate_threshold_sets(h, tmat, self.W),
+                                  six_gather_objective(h, tmat, self.W))
+
+    def test_every_threshold_set_of_a_small_histogram(self):
+        h = AngleHistogram([3, 0, 0, 5, 1, 0, 2, 0, 0, 4, 0, 1])
+        for k in range(1, h.bin_count + 1):
+            combos = list(itertools.combinations(range(1, h.bin_count), k - 1))
+            tmat = np.array(combos, dtype=np.int64).reshape(len(combos), k - 1)
+            assert np.array_equal(evaluate_threshold_sets(h, tmat, HALF),
+                                  six_gather_objective(h, tmat, HALF))
+
+    def test_table_size_is_occupied_bins_plus_one_squared(self):
+        h = AngleHistogram([0, 2, 0, 0, 1, 1, 0])
+        rank, f1_terms, counts = h.segment_table
+        assert rank.tolist() == [0, 0, 1, 1, 1, 2, 3, 3]
+        assert f1_terms.shape == counts.shape == (16,)
+        assert h.segment_table is h.segment_table  # built once per histogram
+
+
 def brute_force_best(h, k, w):
     best_t, best_v = None, -math.inf
     for combo in itertools.combinations(range(1, h.bin_count), k - 1):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eerpms import (
+    ElectionTerms,
     SelectionWeights,
     attribute_score,
     distance_to_ring,
@@ -17,7 +18,26 @@ def elect(labels, dists, residuals, w, initial=0.5, k=None):
     labels = np.asarray(labels)
     k = int(labels.max()) + 1 if k is None else k
     fraction = np.asarray(residuals, dtype=float) / initial
-    return select_cluster_heads(labels, k, fraction, np.asarray(dists, dtype=float), w)
+    terms = ElectionTerms(labels, k, np.asarray(dists, dtype=float), w)
+    return select_cluster_heads(terms, fraction)
+
+
+def lexsort_election(labels, k, energy_fraction, distance_to_bs, w):
+    """The one-call election: every term recomputed, heads by one `lexsort`
+    on (label, -score, id)."""
+    ids = np.flatnonzero(labels >= 0)
+    lab = labels[ids]
+    ring_d = distance_to_ring(distance_to_bs[ids], w.ring_radius_m)
+    d_min = np.full(k, np.inf)
+    d_max = np.full(k, -np.inf)
+    np.minimum.at(d_min, lab, ring_d)
+    np.maximum.at(d_max, lab, ring_d)
+    score = attribute_score(energy_fraction[ids], ring_d, d_min[lab], d_max[lab], w)
+    order = np.lexsort((ids, -score, lab))
+    first = order[np.diff(lab[order], prepend=-1) != 0]
+    heads = np.full(k, -1)
+    heads[lab[first]] = ids[first]
+    return heads
 
 
 def plain_score(residual, initial, dist, lo, hi, w):
@@ -154,6 +174,26 @@ class TestSelectClusterHeads:
         head_a = elect(labels, dists, energies, self.W)
         head_b = elect(labels, dists, energies * scale, self.W)
         assert head_a.tolist() == head_b.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(0, 120), k=st.integers(1, 12),
+           levels=st.integers(1, 6))
+    def test_matches_lexsort_reference(self, seed, n, k, levels):
+        # energies and distances from a few levels force tied scores; labels
+        # drawn from a subset of 0..k-1 leave clusters empty; -1 marks the dead
+        rng = np.random.default_rng(seed)
+        used = rng.choice(np.arange(-1, k), size=int(rng.integers(1, k + 2)), replace=False)
+        labels = rng.choice(used, size=n)
+        fraction = rng.integers(1, levels + 1, size=n) / levels
+        dists = rng.choice(np.linspace(0.0, 150.0, levels + 1), size=n)
+        w = SelectionWeights(0.7, 0.3, float(rng.choice([0.0, 75.0, 90.0])))
+        terms = ElectionTerms(labels, k, dists, w)
+        expected = lexsort_election(labels, k, fraction, dists, w)
+        assert np.array_equal(select_cluster_heads(terms, fraction), expected)
+        # the terms are fixed by the clustering: any later energies elect as the reference does
+        later = fraction * rng.uniform(0.0, 1.0, size=n)
+        assert np.array_equal(select_cluster_heads(terms, later),
+                              lexsort_election(labels, k, later, dists, w))
 
     def test_head_is_member_and_alive(self):
         rng = np.random.default_rng(0)
