@@ -1,7 +1,7 @@
 """Deterministic simulator and analysis library for energy-efficient
 cluster-based routing in wireless sensor networks."""
 
-from .bat import BatParams, BatSwarm, optimize_thresholds, repair_position
+from .bat import BatParams, BatSwarm, optimize_thresholds
 from .config import ConfigError, NetworkConfig, load_network_config
 from .experiments import (
     ExperimentSpec,

@@ -74,19 +74,6 @@ def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
     return arr
 
 
-def repair_position(raw, bin_count: int) -> ThresholdSet:
-    """Coerce an arbitrary integer vector into a valid threshold set."""
-    raw = np.asarray(raw, dtype=np.int64)
-    if raw.ndim != 1:
-        raise ValueError("expected a 1-D integer vector")
-    if raw.size > bin_count - 1:
-        raise ValueError("more thresholds than available levels")
-    if raw.size == 0:
-        return ThresholdSet((), 1)
-    fixed = _repair_many(raw[None, :], bin_count)[0]
-    return ThresholdSet(tuple(int(v) for v in fixed), raw.size + 1)
-
-
 class BatSwarm:
     """Mutable optimizer state; `step()` advances one synchronous iteration."""
 

@@ -5,9 +5,10 @@ Subcommands: `simulate` (one run), `sweep` (experiment spec file), `theory`
 suites: exhaustive-threshold comparison, wedge-distance Monte Carlo, energy
 landscape argmin, sector coverage sampling).
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure. Output
-directory resolution: --out flag, else the EERPMS_OUT_DIR environment
-variable, else ./out.
+Exit codes: 0 success, 1 configuration error (an output directory that
+cannot be created or written included), 2 runtime failure. Output directory
+resolution: --out flag, else the EERPMS_OUT_DIR environment variable, else
+./out.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import __version__
 from .bat import BatParams, optimize_thresholds
 from .config import ConfigError, NetworkConfig, load_network_config
 from .experiments import (
+    _check_writable,
     analytic_energy_grid,
     grid_argmin,
     load_experiment_spec,
@@ -90,7 +92,7 @@ def cmd_simulate(args) -> int:
     if overrides:
         config = config.with_overrides(**overrides)
     out_dir = _resolve_out(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_writable(out_dir)
     result = run_simulation(config)
     path = out_dir / f"rounds_{config.protocol.value}_seed{config.seed}.csv"
     write_rounds_csv(path, result.rounds)
@@ -142,7 +144,7 @@ def cmd_verify(args) -> int:
     config = _load_config(args.config)
     radio = config.radio
     out_dir = _resolve_out(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_writable(out_dir)
     rng = np.random.default_rng(args.seed)
 
     # exhaustive-threshold oracle vs the metaheuristic, at oracle-friendly size

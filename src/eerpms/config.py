@@ -92,6 +92,14 @@ def _reader(cp: configparser.ConfigParser, section: str):
     return get
 
 
+def parse_protocol(raw: str) -> Protocol:
+    try:
+        return Protocol[raw.upper()]
+    except KeyError as exc:
+        names = ", ".join(p.value for p in Protocol)
+        raise ConfigError(f"unknown protocol {raw!r} (expected one of {names})") from exc
+
+
 def _optional(cast):
     def parse(raw: str):
         if raw.lower() in {"auto", "none"}:
@@ -121,13 +129,6 @@ def parse_network_config(cp: configparser.ConfigParser) -> NetworkConfig:
     clu = _reader(cp, "clustering")
     sel = _reader(cp, "selection")
     bat = _reader(cp, "bat")
-
-    def parse_protocol(raw: str) -> Protocol:
-        try:
-            return Protocol[raw.upper()]
-        except KeyError as exc:
-            names = ", ".join(p.value for p in Protocol)
-            raise ConfigError(f"unknown protocol {raw!r} (expected one of {names})") from exc
 
     defaults = NetworkConfig()
     try:
@@ -169,13 +170,18 @@ def parse_network_config(cp: configparser.ConfigParser) -> NetworkConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_network_config(path: str | Path) -> NetworkConfig:
+def read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
+    """Parse the INI file at `path`; `what` names the file in errors."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read(path)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    return parse_network_config(cp)
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+    return cp
+
+
+def load_network_config(path: str | Path) -> NetworkConfig:
+    return parse_network_config(read_ini(path, "config file"))

@@ -7,7 +7,6 @@ byte-identical files. Rendering is left to external tooling.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass, field
@@ -15,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, NetworkConfig, parse_network_config
+from .config import ConfigError, NetworkConfig, _reader, parse_network_config, \
+    parse_protocol, read_ini
 from .network import Protocol
 from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .simulation import LifetimeSummary, RoundMetrics, deploy, run_simulation
@@ -56,63 +56,42 @@ class ExperimentSpec:
             raise ConfigError("omega1 sweep needs a non-empty omega1_values list")
         if self.sweep_axis == "k_dch_grid" and not (self.k_values and self.d_values):
             raise ConfigError("k_dch_grid sweep needs k_values and d_values")
+        if any(k < 1 for k in self.k_values):
+            raise ConfigError("k_values must be at least 1")
+        if not all(d >= 0 and math.isfinite(d) for d in self.d_values):
+            raise ConfigError("d_values must be non-negative and finite")
         if self.sweep_axis != "k_dch_grid" and not self.protocols:
             raise ConfigError("at least one protocol is required")
 
 
-def _parse_list(raw: str, cast):
-    items = [s.strip() for s in raw.replace(",", " ").split()]
-    return [cast(s) for s in items if s]
+def _list_of(cast):
+    """Parser for a comma- or space-separated list of `cast` values."""
+    return lambda raw: [cast(s) for s in raw.replace(",", " ").split()]
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"experiment spec not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed spec file {path}: {exc}") from exc
+    cp = read_ini(path, "experiment spec")
     if not cp.has_section("experiment"):
         raise ConfigError("spec file needs an [experiment] section")
-
-    exp = dict(cp.items("experiment"))
     known = {"protocols", "seeds", "sweep", "node_counts", "omega1_values",
              "k_values", "d_values", "output_dir"}
-    unknown = set(exp) - known
+    unknown = set(cp.options("experiment")) - known
     if unknown:
         raise ConfigError(f"unknown keys in [experiment]: {sorted(unknown)}")
 
-    base_cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    for section in cp.sections():
-        if section == "experiment":
-            continue
-        base_cp.add_section(section)
-        for key, value in cp.items(section):
-            base_cp.set(section, key, value)
-    base = parse_network_config(base_cp)
-
-    def parse_protocol(raw: str) -> Protocol:
-        try:
-            return Protocol[raw.upper()]
-        except KeyError as exc:
-            raise ConfigError(f"unknown protocol {raw!r}") from exc
-
-    try:
-        return ExperimentSpec(
-            base=base,
-            protocols=_parse_list(exp.get("protocols", "EERPMS"), parse_protocol),
-            seeds=_parse_list(exp.get("seeds", "1"), int),
-            output_dir=Path(exp.get("output_dir", "out")),
-            sweep_axis=exp.get("sweep", "none").strip(),
-            node_counts=_parse_list(exp.get("node_counts", ""), int),
-            omega1_values=_parse_list(exp.get("omega1_values", ""), float),
-            k_values=_parse_list(exp.get("k_values", ""), int),
-            d_values=_parse_list(exp.get("d_values", ""), float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    exp = _reader(cp, "experiment")
+    fields = dict(
+        protocols=exp("protocols", _list_of(parse_protocol), [Protocol.EERPMS]),
+        seeds=exp("seeds", _list_of(int), [1]),
+        output_dir=exp("output_dir", Path, Path("out")),
+        sweep_axis=exp("sweep", str, "none"),
+        node_counts=exp("node_counts", _list_of(int), []),
+        omega1_values=exp("omega1_values", _list_of(float), []),
+        k_values=exp("k_values", _list_of(int), []),
+        d_values=exp("d_values", _list_of(float), []),
+    )
+    cp.remove_section("experiment")
+    return ExperimentSpec(base=parse_network_config(cp), **fields)
 
 
 # --- CSV emission -------------------------------------------------------------

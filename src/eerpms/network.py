@@ -38,4 +38,3 @@ class ClusterAssignment:
     """Partition of the alive nodes into clusters, one optional head each."""
 
     clusters: list[Cluster]
-    round_created: int = 0

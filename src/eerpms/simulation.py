@@ -12,6 +12,7 @@ next round on. This keeps the energy-conservation identity exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -92,8 +93,8 @@ class Simulation:
     Node state lives in arrays indexed by node id: position (`x`, `y`,
     `d_bs`, `angle`), residual `energy`, the `alive` mask and the cluster
     `labels` (-1 outside every cluster); `heads` holds one head id per
-    cluster (-1 for an empty one). `assignment` records the same clustering
-    as lists, for inspection.
+    cluster (-1 for an empty one). These two arrays are the only record of
+    the clustering; `assignment` is a per-step cached view of them as lists.
     """
 
     def __init__(self, config: NetworkConfig) -> None:
@@ -111,7 +112,6 @@ class Simulation:
         self.labels = np.full(n, -1)
         self.heads = np.full(0, -1)
         self.round_index = 0
-        self.assignment: ClusterAssignment | None = None
         self.current_k = 0
         self._election: ElectionTerms | None = None
         self.last_clustered_alive: int | None = None
@@ -139,31 +139,33 @@ class Simulation:
             return self.config.ring_radius_m
         return optimal_ch_distance(AreaSpec(self.config.radius_m, max(1, alive)), k)
 
-    def _set_clusters(self, labels, k: int) -> None:
-        """Cluster the alive nodes: `labels` gives each one's cluster in
-        0..k-1, or -1 for every alive node when there are no clusters."""
+    def _set_clusters(self, labels) -> None:
+        """Cluster the alive nodes: `labels` gives each one's cluster, or -1
+        for every alive node when there are no clusters."""
         self.labels[:] = -1
         self.labels[self.alive] = labels
-        ids = np.flatnonzero(self.labels >= 0)
-        lab = self.labels[ids]
-        groups = np.split(ids[np.argsort(lab, kind="stable")],
-                          np.cumsum(np.bincount(lab, minlength=k))[:-1]) if k else []
-        self.assignment = ClusterAssignment(
-            clusters=[Cluster(member_ids=g.tolist()) for g in groups],
-            round_created=self.round_index)
         self.last_clustered_alive = int(self.alive.sum())
         self.clustering_events += 1
 
-    def _set_heads(self, heads: np.ndarray) -> None:
-        self.heads = heads
-        for cluster, head in zip(self.assignment.clusters, heads.tolist()):
-            cluster.head_id = head if head >= 0 else None
+    @functools.cached_property
+    def assignment(self) -> ClusterAssignment:
+        """The current clustering as lists, built from `labels` and `heads` on
+        first read and dropped by the next `step()`, so that reads within one
+        round share one object. It exists only for the benchmark's round
+        checks (`benchmark/checks.py`, and `benchmark/selfcheck.py`, which
+        edits it in place)."""
+        ids = np.flatnonzero(self.labels >= 0)
+        lab = self.labels[ids]
+        groups = np.split(ids[np.argsort(lab, kind="stable")],
+                          np.cumsum(np.bincount(lab, minlength=self.heads.size))[:-1])
+        return ClusterAssignment([Cluster(g.tolist(), h if h >= 0 else None)
+                                  for g, h in zip(groups, self.heads.tolist())])
 
     def _cluster_for_election(self, labels, k_eff: int, k: int) -> None:
         """Cluster the alive nodes into `k_eff` clusters, planned for `k`, and
         fix the election terms until the next reclustering; the ring radius
         depends only on the alive count and `k`."""
-        self._set_clusters(labels, k_eff)
+        self._set_clusters(labels)
         self.current_k = k
         weights = SelectionWeights(
             omega1=self.config.omega1,
@@ -173,8 +175,8 @@ class Simulation:
         self._election = ElectionTerms(self.labels, k_eff, self.d_bs, weights)
 
     def _select_heads(self) -> None:
-        self._set_heads(select_cluster_heads(
-            self._election, self.energy / self.config.initial_energy_j))
+        self.heads = select_cluster_heads(
+            self._election, self.energy / self.config.initial_energy_j)
 
     def _transmit(self) -> RoundMetrics:
         """Charge the round's costs and emit metrics.
@@ -232,6 +234,7 @@ class Simulation:
         if not self.alive.any():
             raise RuntimeError("no alive nodes left to simulate")
         self.round_index += 1
+        self.__dict__.pop("assignment", None)
         if self.config.protocol is Protocol.EERPMS:
             return self._round_eerpms()
         if self.config.protocol is Protocol.RLEACH:
@@ -239,7 +242,8 @@ class Simulation:
         return self._round_crpfcm()
 
     def _needs_reclustering(self) -> bool:
-        return self.assignment is None or int(self.alive.sum()) != self.last_clustered_alive
+        # None before the first clustering, which equals no alive count
+        return int(self.alive.sum()) != self.last_clustered_alive
 
     def _round_eerpms(self) -> RoundMetrics:
         if self._needs_reclustering():
@@ -286,8 +290,8 @@ class Simulation:
                                         self.y[alive, None] - self.y[heads]), axis=1)
         else:
             labels = -1  # no heads: every alive node sends straight to the sink
-        self._set_clusters(labels, heads.size)
-        self._set_heads(heads)
+        self._set_clusters(labels)
+        self.heads = heads
         self.current_k = int(heads.size)
         return self._transmit()
 

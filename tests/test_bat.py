@@ -14,50 +14,10 @@ from eerpms import (
     exhaustive_best_threshold,
     objective_f1,
     optimize_thresholds,
-    repair_position,
 )
 from eerpms.bat import _repair_many
 
 HALF = ObjectiveWeights(0.5, 0.5)
-
-
-class TestRepairPosition:
-    def test_clamp_and_sort(self):
-        t = repair_position([400, -3, 90], 360)
-        assert t.thresholds == (1, 90, 359)
-
-    def test_duplicates_cascade_upward(self):
-        t = repair_position([90, 90, 90], 360)
-        assert t.thresholds == (90, 91, 92)
-
-    def test_full_top_wraps_downward(self):
-        t = repair_position([359, 359], 360)
-        assert t.thresholds == (358, 359)
-
-    def test_valid_input_unchanged(self):
-        t = repair_position([10, 20, 30], 360)
-        assert t.thresholds == (10, 20, 30)
-
-    def test_empty_vector(self):
-        t = repair_position([], 360)
-        assert t.thresholds == () and t.k == 1
-
-    def test_too_many_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            repair_position(list(range(8)), 8)
-
-    @settings(max_examples=100)
-    @given(
-        raw=st.lists(st.integers(-1000, 1000), min_size=1, max_size=9),
-        bins=st.integers(16, 400),
-    )
-    def test_always_valid_and_idempotent(self, raw, bins):
-        t = repair_position(raw, bins)
-        assert len(t.thresholds) == len(raw)
-        assert all(1 <= v <= bins - 1 for v in t.thresholds)
-        assert all(b > a for a, b in zip(t.thresholds, t.thresholds[1:]))
-        again = repair_position(list(t.thresholds), bins)
-        assert again.thresholds == t.thresholds
 
 
 def cascade_repair(row, bins):
@@ -69,6 +29,40 @@ def cascade_repair(row, bins):
     for j in range(len(v) - 2, -1, -1):
         v[j] = min(v[j], v[j + 1] - 1)
     return v
+
+
+def repair_one(raw, bins):
+    """One bat position through `_repair_many`, checked against `cascade_repair`."""
+    got = _repair_many(np.array([raw], dtype=np.int64), bins)[0].tolist()
+    assert got == cascade_repair(raw, bins), (raw, bins)
+    return got
+
+
+class TestRepairPosition:
+    """One bat position: a single row of `_repair_many`."""
+
+    def test_clamp_and_sort(self):
+        assert repair_one([400, -3, 90], 360) == [1, 90, 359]
+
+    def test_duplicates_cascade_upward(self):
+        assert repair_one([90, 90, 90], 360) == [90, 91, 92]
+
+    def test_full_top_wraps_downward(self):
+        assert repair_one([359, 359], 360) == [358, 359]
+
+    def test_valid_input_unchanged(self):
+        assert repair_one([10, 20, 30], 360) == [10, 20, 30]
+
+    @settings(max_examples=100)
+    @given(
+        raw=st.lists(st.integers(-1000, 1000), min_size=1, max_size=9),
+        bins=st.integers(16, 400),
+    )
+    def test_always_valid_and_idempotent(self, raw, bins):
+        t = repair_one(raw, bins)
+        assert all(1 <= v <= bins - 1 for v in t)
+        assert all(b > a for a, b in zip(t, t[1:]))
+        assert repair_one(t, bins) == t
 
 
 def random_raw(rng, rows, dim, bins):

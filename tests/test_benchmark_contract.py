@@ -1,8 +1,9 @@
 """What `benchmark/` relies on in the program.
 
 The benchmark wraps module attributes from outside the package and checks
-round 1 of a simulation against `sim.nodes` and `sim.assignment`; these
-tests fail when a change to the program takes away something it uses.
+round 1 of a simulation against `sim.nodes` and `sim.assignment` (a view of
+`labels`/`heads` cached for the current step); these tests fail when a change
+to the program takes away something it uses.
 """
 
 import sys
@@ -44,5 +45,6 @@ def test_traced_simulation_calls_through_patched_names():
 
 
 def test_round_checks():
-    # mutates sim.assignment after a step, so it must be a stored record
+    # mutates sim.assignment after a step and reads it again, so every read
+    # within one step must return the same object
     selfcheck.check_round_checks()

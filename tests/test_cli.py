@@ -114,12 +114,23 @@ class TestSweep:
         assert (tmp_path / "results" / "summary.csv").is_file()
         assert out.count("wrote") == 3  # 2 round files + summary
 
-    def test_invalid_spec_exit_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize("body, message", [
+        ("seeds =\n", "at least one seed is required"),
+        ("sweep = k_dch_grid\nk_values = 0\nd_values = 90\n",
+         "k_values must be at least 1"),
+        ("sweep = k_dch_grid\nk_values = 10\nd_values = -5\n",
+         "d_values must be non-negative and finite"),
+        ("sweep = k_dch_grid\nk_values = 10\nd_values = nan\n",
+         "d_values must be non-negative and finite"),
+    ], ids=["no-seeds", "k-zero", "d-negative", "d-nan"])
+    def test_invalid_spec_exit_code(self, capsys, tmp_path, body, message):
         spec = tmp_path / "exp.ini"
-        spec.write_text("[experiment]\nseeds =\n")
-        code, _, err = run_cli(capsys, "sweep", str(spec))
+        spec.write_text("[experiment]\n" + body)
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "sweep", str(spec), "--out", str(out_dir))
         assert code == 1
-        assert "error" in err
+        assert f"error: {message}" in err
+        assert not out_dir.exists()
 
 
     def test_negative_seed_is_config_error(self, capsys, tmp_path):
@@ -172,6 +183,16 @@ class TestVerify:
         assert code == 1
         assert "argument --seed: must be at least 0, got -1" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_unwritable_out_is_config_error(capsys, tmp_path, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, command, "--out", str(blocker / "x"))
+    assert code == 1
+    assert "error: cannot create output directory" in err
+    assert out == ""  # rejected before anything runs
 
 
 class TestParsing:

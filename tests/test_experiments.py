@@ -204,6 +204,18 @@ class TestSpecFile:
         with pytest.raises(ConfigError):
             load_experiment_spec(spec_file)
 
+    @pytest.mark.parametrize("line, message", [
+        ("seeds = 1 x", "[experiment] seeds: cannot parse '1 x'"),
+        ("protocols = EERPMS, FOO",
+         "unknown protocol 'FOO' (expected one of EERPMS, RLEACH, CRPFCM)"),
+    ])
+    def test_bad_list_value_named(self, tmp_path, line, message):
+        spec_file = tmp_path / "exp.ini"
+        spec_file.write_text(f"[experiment]\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            load_experiment_spec(spec_file)
+        assert str(info.value) == message
+
     def test_shipped_specs_parse(self):
         configs = Path(__file__).resolve().parents[1] / "configs"
         for name in ("sweep_lifetime.ini", "sweep_omega1.ini",

@@ -130,17 +130,26 @@ class TestRoundStructure:
             assert m.ch_count == len(m.per_ch_energy_j) == len(m.member_counts)
             prev_alive, prev_res = m.alive_count, m.total_residual_j
 
-    @pytest.mark.parametrize("protocol", [Protocol.EERPMS, Protocol.CRPFCM])
+    @pytest.mark.parametrize("protocol", list(Protocol))
     def test_partition_covers_alive_nodes(self, protocol):
-        config = NetworkConfig(protocol=protocol, seed=6, **FAST)
+        # 0.02 J: every node is dead within 80 rounds; on the way EERPMS and
+        # CRPFCM recluster, EERPMS leaves clusters empty and RLEACH elects no head
+        config = NetworkConfig(protocol=protocol, seed=6, initial_energy_j=0.02)
         sim = Simulation(config)
-        for _ in range(40):
+        previous = None
+        while sim.alive.any():
             alive_before = np.flatnonzero(sim.alive).tolist()
             sim.step()
-            if sim.assignment.round_created == sim.round_index:
-                members = sorted(
-                    nid for c in sim.assignment.clusters for nid in c.member_ids)
-                assert members == alive_before
+            record = sim.assignment
+            assert record is not previous  # rebuilt after every step
+            assert sim.assignment is record  # one object within a round
+            previous = record
+            clustered = np.flatnonzero(sim.labels >= 0).tolist()
+            assert clustered == (alive_before if sim.heads.size else [])
+            assert len(record.clusters) == sim.heads.size
+            for j, (cluster, head) in enumerate(zip(record.clusters, sim.heads.tolist())):
+                assert cluster.member_ids == np.flatnonzero(sim.labels == j).tolist()
+                assert cluster.head_id == (head if head >= 0 else None)
 
     def test_reclustering_only_on_alive_change(self):
         config = NetworkConfig(seed=6, **FAST)
