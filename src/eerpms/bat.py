@@ -50,27 +50,30 @@ class BatParams:
             raise ValueError("gamma_rate must be positive")
 
 
-def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
-    """Clamp, sort and deduplicate a (batch, dim) matrix of raw thresholds.
+def _repair_in_place(arr: np.ndarray, bin_count: int) -> None:
+    """Clamp, sort and deduplicate the rows of an int64 (batch, dim) matrix.
 
     Duplicates cascade upward to the nearest free level; if the top fills
-    up, the tail is pulled back down from the last valid level. Returns a
-    new array; `raw` is left as it was.
+    up, the tail is pulled back down from the last valid level.
     """
-    arr = np.maximum(np.asarray(raw, dtype=np.int64), 1)
-    np.minimum(arr, bin_count - 1, out=arr)
+    np.maximum(arr, 1, out=arr)
     arr.sort(axis=1)
-    # arr[j] = max(arr[j], arr[j-1] + 1) over j is a running max of arr[j] - j;
-    # the downward pass arr[j] = min(arr[j], arr[j+1] - 1) a reversed running min.
+    # The upward cascade arr[j] = max(arr[j], arr[j-1] + 1) is a running max
+    # of arr[j] - j. That running max never falls, so the downward pass from
+    # the top, arr[j] = min(arr[j], arr[j+1] - 1) below a last level clamped
+    # at bin_count - 1, is one clamp of arr[j] - j at bin_count - dim, which
+    # also makes a clamp of the inputs at bin_count - 1 unnecessary.
     j = np.arange(arr.shape[1])
     arr -= j
     np.maximum.accumulate(arr, axis=1, out=arr)
+    np.minimum(arr, bin_count - arr.shape[1], out=arr)
     arr += j
-    np.minimum(arr[:, -1], bin_count - 1, out=arr[:, -1])
-    arr -= j
-    backward = arr[:, ::-1]
-    np.minimum.accumulate(backward, axis=1, out=backward)
-    arr += j
+
+
+def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
+    """`_repair_in_place` on a copy of `raw`, which is left as it was."""
+    arr = np.array(raw, dtype=np.int64)
+    _repair_in_place(arr, bin_count)
     return arr
 
 
@@ -115,38 +118,52 @@ class BatSwarm:
         self.best_history = [self.best_objective]
 
     def step(self) -> None:
+        """One synchronous iteration.
+
+        The iteration draws one block of 2*pop*(dim+1) uniforms from `rng`
+        and reads it in order as: the (pop, dim) flight frequencies, pop
+        walk draws, the (pop, dim) walk steps (each -1 + 2u, uniform on
+        [-1, 1)) and pop acceptance draws. This is the stream that four
+        separate draws of those shapes would take, in that order.
+        """
         p = self.params
-        rng = self.rng
         pop, dim = self.positions.shape
         t = self.iteration + 1
-        bins = self.histogram.bin_count
+        u = self.rng.random(2 * pop * (dim + 1))
+        freq = u[:pop * dim].reshape(pop, dim)
+        walk_draw = u[pop * dim:pop * (dim + 1)]
+        steps = u[pop * (dim + 1):pop * (2 * dim + 1)].reshape(pop, dim)
+        accept_draw = u[pop * (2 * dim + 1):]
 
-        freq = p.s_min + (p.s_max - p.s_min) * rng.random((pop, dim))
-        self.velocities += (self.positions - self.best_position) * freq
+        # velocity += (position - best) * (s_min + (s_max - s_min) * u)
+        freq *= p.s_max - p.s_min
+        freq += p.s_min
+        freq *= self.positions - self.best_position
+        self.velocities += freq
         raw = self._raw
         np.ceil(self.positions + self.velocities, out=raw[:pop], casting="unsafe")
 
         # Local walk around the incumbent best, scaled by the mean loudness.
         # Rounded to nearest: with a sub-unit symmetric step, a ceiling could
         # never decrease a threshold and the walk would only drift upward.
-        walk_draw = rng.random(pop)
-        steps = rng.uniform(-1.0, 1.0, (pop, dim)) * (self.loudness.sum() / pop)
-        np.rint(self.best_position + steps, out=raw[pop:], casting="unsafe")
-        repaired = _repair_many(raw, bins)
-        flight, walk = repaired[:pop], repaired[pop:]
-        self.positions = flight
-        use_walk = walk_draw > self.pulse
-        candidates = np.where(use_walk[:, None], walk, flight)
+        steps *= 2.0
+        steps -= 1.0
+        steps *= self.loudness.sum() / pop
+        steps += self.best_position
+        np.rint(steps, out=raw[pop:], casting="unsafe")
+        _repair_in_place(raw, self.histogram.bin_count)
+        np.copyto(self.positions, raw[:pop])
+        # the candidates overwrite the flight rows: a bat's walk where it walks
+        candidates = raw[:pop]
+        np.copyto(candidates, raw[pop:], where=(walk_draw > self.pulse)[:, None])
 
         objectives = evaluate_threshold_sets(self.histogram, candidates, self.weights)
-        accept = (rng.random(pop) < self.loudness) & (objectives > self.best_objective)
-        self.positions = np.where(accept[:, None], candidates, self.positions)
-        self.loudness = np.where(accept, self.loudness * p.epsilon_decay, self.loudness)
-        self.pulse = np.where(
-            accept, p.pulse0 * (1.0 - math.exp(-p.gamma_rate * t)), self.pulse
-        )
+        accept = (accept_draw < self.loudness) & (objectives > self.best_objective)
+        np.copyto(self.positions, candidates, where=accept[:, None])
+        np.multiply(self.loudness, p.epsilon_decay, out=self.loudness, where=accept)
+        np.copyto(self.pulse, p.pulse0 * (1.0 - math.exp(-p.gamma_rate * t)), where=accept)
 
-        best = int(np.argmax(objectives))
+        best = int(objectives.argmax())
         if objectives[best] > self.best_objective:
             self.best_objective = float(objectives[best])
             self.best_position = candidates[best].copy()

@@ -56,6 +56,10 @@ class ExperimentSpec:
             raise ConfigError("omega1 sweep needs a non-empty omega1_values list")
         if self.sweep_axis == "k_dch_grid" and not (self.k_values and self.d_values):
             raise ConfigError("k_dch_grid sweep needs k_values and d_values")
+        if any(n < 1 for n in self.node_counts):
+            raise ConfigError("node_counts must be at least 1")
+        if not all(0.0 <= w <= 1.0 for w in self.omega1_values):
+            raise ConfigError("omega1_values must lie in [0, 1]")
         if any(k < 1 for k in self.k_values):
             raise ConfigError("k_values must be at least 1")
         if not all(d >= 0 and math.isfinite(d) for d in self.d_values):
@@ -299,10 +303,8 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     Returns the list of written paths. Validation happens before any
     simulation starts.
     """
-    _check_writable(spec.output_dir)
-    written: list[Path] = []
-
     if spec.sweep_axis == "k_dch_grid":
+        _check_writable(spec.output_dir)
         area = AreaSpec(spec.base.radius_m, spec.base.node_count)
         rows = simulated_energy_grid(area, spec.base.radio, spec.k_values,
                                      spec.d_values, spec.seeds)
@@ -310,10 +312,12 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         write_landscape_csv(path, rows)
         return [path]
 
+    cells = _cell_configs(spec)
+    _check_writable(spec.output_dir)
     # a summary.csv in the directory means the run that wrote it finished
     for name in ("summary.csv", "improvements.csv"):
         (spec.output_dir / name).unlink(missing_ok=True)
-    cells = _cell_configs(spec)
+    written: list[Path] = []
     lifetimes: dict[tuple[Protocol, str], list[LifetimeSummary]] = {}
     for protocol in spec.protocols:
         for label, config in cells:

@@ -27,26 +27,28 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     power = -1.0 / (fuzziness - 1.0)
     px, py = points[:, 0, None], points[:, 1, None]
     membership = None
-    for _ in range(max_iter):
-        dx = px - centers[:, 0]
-        dy = py - centers[:, 1]
-        d2 = dx * dx + dy * dy
-        zero_rows = d2 < 1e-24  # exactly sqrt(d2) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # on a center d2 is 0 and d2 ** power divides by zero; those rows are
+    # overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            dx = px - centers[:, 0]
+            dy = py - centers[:, 1]
+            d2 = dx * dx + dy * dy
+            zero_rows = d2 < 1e-24  # exactly sqrt(d2) < 1e-12
             weight = d2 ** power
             new_membership = weight / weight.sum(axis=1, keepdims=True)
-        # points sitting exactly on a center belong to it outright
-        on_center = zero_rows.any(axis=1)
-        if on_center.any():
-            new_membership[on_center] = 0.0
-            new_membership[zero_rows] = 1.0
-            rowsum = new_membership[on_center].sum(axis=1, keepdims=True)
-            new_membership[on_center] /= rowsum
-        if membership is not None and np.max(np.abs(new_membership - membership)) < tol:
+            # points sitting exactly on a center belong to it outright
+            on_center = zero_rows.any(axis=1)
+            if on_center.any():
+                new_membership[on_center] = 0.0
+                new_membership[zero_rows] = 1.0
+                rowsum = new_membership[on_center].sum(axis=1, keepdims=True)
+                new_membership[on_center] /= rowsum
+            if membership is not None and np.max(np.abs(new_membership - membership)) < tol:
+                membership = new_membership
+                break
             membership = new_membership
-            break
-        membership = new_membership
-        um = membership ** fuzziness
-        centers = (um.T @ points) / um.sum(axis=0)[:, None]
+            um = membership ** fuzziness
+            centers = (um.T @ points) / um.sum(axis=0)[:, None]
     labels = np.argmax(membership, axis=1).astype(np.int64)
     return labels, centers

@@ -91,6 +91,7 @@ class AngleHistogram:
         self.cum_counts = np.concatenate(([0], np.cumsum(counts)))
         self.mean = float(self.cum_ip[-1])
         self.variance = float(np.sum(p * (idx - self.mean) ** 2))
+        self._f2_terms: dict[int, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"AngleHistogram(bins={self.bin_count}, total={self.total})"
@@ -115,6 +116,15 @@ class AngleHistogram:
         f1_terms = mass * (u - self.mean) ** 2
         counts = cum_counts[None, :] - cum_counts[:, None]
         return rank, f1_terms.ravel(), counts.ravel()
+
+    def f2_terms(self, k: int) -> np.ndarray:
+        """(count - total/k)**2 for every entry of the segment table's counts,
+        the summands of the f2 term of a k-way split; cached per k."""
+        table = self._f2_terms.get(k)
+        if table is None:
+            table = (self.segment_table[2] - self.total / k) ** 2
+            self._f2_terms[k] = table
+        return table
 
 
 def _angle_bins(angles, bin_count: int) -> np.ndarray:
@@ -193,15 +203,15 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
         raise ValueError("expected a 2-D threshold matrix")
     batch, dim = tmat.shape
     k = dim + 1
-    rank, f1_terms, seg_counts = h.segment_table
+    rank, f1_terms, _ = h.segment_table
     width = rank[-1] + 1
     ranks = np.empty((batch, k + 1), dtype=np.int64)
     ranks[:, 0] = 0
     ranks[:, -1] = rank[-1]
     ranks[:, 1:-1] = rank[tmat]
     seg = ranks[:, :-1] * width + ranks[:, 1:]
-    f1 = np.sum(f1_terms[seg], axis=1)
-    f2 = np.sum((seg_counts[seg] - h.total / k) ** 2, axis=1) / h.total
+    f1 = f1_terms[seg].sum(axis=1)
+    f2 = h.f2_terms(k)[seg].sum(axis=1) / h.total
     f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
     return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
 

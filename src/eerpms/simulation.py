@@ -23,7 +23,7 @@ from .config import NetworkConfig
 from .fcm import fuzzy_c_means
 from .network import Cluster, ClusterAssignment, Node, Protocol
 from .otsu import ObjectiveWeights, ThresholdSet, build_histogram, materialize_clusters
-from .radio import aggregation_energy, rx_energy, tx_energy
+from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .selection import ElectionTerms, SelectionWeights, select_cluster_heads
 from .theory import AreaSpec, optimal_ch_distance, optimal_cluster_count
 
@@ -77,6 +77,31 @@ class SimulationResult:
     lifetime: LifetimeSummary
 
 
+class CostTerms:
+    """The part of round costing that one clustering fixes.
+
+    `labels[i]` is node i's cluster in 0..k-1, or -1 outside every cluster.
+    The alive nodes stay the same until the next clustering, because every
+    death triggers one. Holds the alive ids; the alive nodes outside every
+    cluster, which send straight to the sink, with their sink distances; the
+    clustered nodes in id order with their labels; and the non-empty
+    clusters with their sizes and the aggregation cost of their heads.
+    """
+
+    def __init__(self, labels: np.ndarray, alive: np.ndarray, k: int,
+                 d_bs: np.ndarray, radio: RadioParams) -> None:
+        self.alive_ids = np.flatnonzero(alive)
+        self.direct = self.alive_ids[labels[self.alive_ids] < 0]
+        self.direct_d = d_bs[self.direct]
+        self.members = np.flatnonzero(labels >= 0)
+        self.member_labels = labels[self.members]
+        self.k = k
+        sizes = np.bincount(self.member_labels, minlength=k)
+        self.served = np.flatnonzero(sizes)
+        self.member_counts = tuple(sizes[self.served].tolist())
+        self.aggregation = aggregation_energy(radio, radio.packet_bits, sizes[self.served])
+
+
 def deploy(area: AreaSpec, seed) -> list[Node]:
     """Place `node_count` nodes i.i.d. uniform over the disk (area-uniform:
     r = R*sqrt(u), theta = 2*pi*v). Deterministic per seed."""
@@ -114,6 +139,7 @@ class Simulation:
         self.round_index = 0
         self.current_k = 0
         self._election: ElectionTerms | None = None
+        self._costs: CostTerms | None = None
         self.last_clustered_alive: int | None = None
         self.clustering_events = 0
         # rx_sums[j]: j receptions added one at a time, as a head pays them
@@ -139,12 +165,14 @@ class Simulation:
             return self.config.ring_radius_m
         return optimal_ch_distance(AreaSpec(self.config.radius_m, max(1, alive)), k)
 
-    def _set_clusters(self, labels) -> None:
-        """Cluster the alive nodes: `labels` gives each one's cluster, or -1
-        for every alive node when there are no clusters."""
+    def _set_clusters(self, labels, k: int) -> None:
+        """Cluster the alive nodes into `k` clusters: `labels` gives each
+        one's cluster, or -1 for every alive node when there are no clusters;
+        fixes the costing terms until the next clustering."""
         self.labels[:] = -1
         self.labels[self.alive] = labels
-        self.last_clustered_alive = int(self.alive.sum())
+        self._costs = CostTerms(self.labels, self.alive, k, self.d_bs, self.config.radio)
+        self.last_clustered_alive = self._costs.alive_ids.size
         self.clustering_events += 1
 
     @functools.cached_property
@@ -165,7 +193,7 @@ class Simulation:
         """Cluster the alive nodes into `k_eff` clusters, planned for `k`, and
         fix the election terms until the next reclustering; the ring radius
         depends only on the alive count and `k`."""
-        self._set_clusters(labels)
+        self._set_clusters(labels, k_eff)
         self.current_k = k
         weights = SelectionWeights(
             omega1=self.config.omega1,
@@ -184,47 +212,45 @@ class Simulation:
         Clustered nodes send to their cluster's head, which fuses the
         readings and forwards one packet to the sink; alive nodes outside
         every cluster (after an election without heads) send straight to
-        the sink.
+        the sink. One `tx_energy` call prices every link of the round.
         """
         radio = self.config.radio
-        bits = radio.packet_bits
-        labels = self.labels
-        cost = np.zeros(len(self.nodes))
+        terms = self._costs
+        members = terms.members
+        to = self.heads[terms.member_labels]
+        sends = members != to
+        senders, to = members[sends], to[sends]
+        head_ids = self.heads[terms.served]
+        received = np.bincount(terms.member_labels[sends], minlength=terms.k)[terms.served]
+        tx = tx_energy(radio, radio.packet_bits, np.concatenate((
+            terms.direct_d,
+            np.hypot(self.x[senders] - self.x[to], self.y[senders] - self.y[to]),
+            self.d_bs[head_ids])))
+        first_head = tx.size - head_ids.size
+        cost = np.zeros(self.config.node_count)
+        cost[terms.direct] = tx[:terms.direct.size]
+        cost[senders] = tx[terms.direct.size:first_head]
+        cost[head_ids] += self._rx_sums[received] + terms.aggregation + tx[first_head:]
 
-        direct = self.alive & (labels < 0)
-        cost[direct] = tx_energy(radio, bits, self.d_bs[direct])
-
-        members = np.flatnonzero(labels >= 0)
-        to = self.heads[labels[members]]
-        senders, to = members[members != to], to[members != to]
-        cost[senders] = tx_energy(radio, bits, np.hypot(self.x[senders] - self.x[to],
-                                                        self.y[senders] - self.y[to]))
-        sizes = np.bincount(labels[members], minlength=self.heads.size)
-        served = np.flatnonzero(sizes)
-        head_ids = self.heads[served]
-        received = np.bincount(labels[senders], minlength=self.heads.size)[served]
-        cost[head_ids] += (self._rx_sums[received]
-                           + aggregation_energy(radio, bits, sizes[served])
-                           + tx_energy(radio, bits, self.d_bs[head_ids]))
-
-        before = self.energy[self.alive]
-        after = np.maximum(0.0, before - cost[self.alive])
-        spent = np.zeros(len(self.nodes))
-        spent[self.alive] = before - after  # exact by construction
-        self.energy[self.alive] = after
-        dead = np.flatnonzero(self.alive)[after <= 0.0]
+        alive = terms.alive_ids
+        before = self.energy[alive]
+        after = np.maximum(0.0, before - cost[alive])
+        spent = np.zeros(self.config.node_count)
+        spent[alive] = before - after  # exact by construction
+        self.energy[alive] = after
+        dead = alive[after <= 0.0]
         self.alive[dead] = False
 
         return RoundMetrics(
             round_index=self.round_index,
-            alive_count=int(self.alive.sum()),
+            alive_count=alive.size - dead.size,
             total_residual_j=math.fsum(self.energy.tolist()),
             # one node at a time in id order; np.sum's pairwise order would
             # change the last bits
             spent_j=float(np.cumsum(spent)[-1]),
-            ch_count=int(head_ids.size),
+            ch_count=head_ids.size,
             per_ch_energy_j=tuple(spent[head_ids].tolist()),
-            member_counts=tuple(sizes[served].tolist()),
+            member_counts=terms.member_counts,
             dead_node_ids=tuple(dead.tolist()),
         )
 
@@ -290,7 +316,7 @@ class Simulation:
                                         self.y[alive, None] - self.y[heads]), axis=1)
         else:
             labels = -1  # no heads: every alive node sends straight to the sink
-        self._set_clusters(labels)
+        self._set_clusters(labels, heads.size)
         self.heads = heads
         self.current_k = int(heads.size)
         return self._transmit()

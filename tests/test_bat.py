@@ -79,9 +79,11 @@ class TestRepairMany:
             for dim in sorted(dims):
                 for _ in range(8):
                     raw = random_raw(rng, int(rng.integers(1, 40)), dim, bins)
+                    before = raw.copy()
                     got = _repair_many(raw, bins)
                     want = [cascade_repair(row, bins) for row in raw.tolist()]
                     assert got.tolist() == want, (bins, dim, raw.tolist())
+                    assert np.array_equal(raw, before)  # the argument is left as it was
 
     def test_stacked_call_equals_separate_calls(self):
         rng = np.random.default_rng(7)
@@ -194,6 +196,122 @@ class TestSwarmDynamics:
             BatSwarm(toy_histogram(), 1, HALF, BatParams(seed=0))
         with pytest.raises(ValueError):
             BatSwarm(toy_histogram(bins=4), 6, HALF, BatParams(seed=0))
+
+
+def reference_repair(raw, bins):
+    """The two-pass repair: clamp, sort, running max up, clamp the top,
+    running min down, all on a fresh array."""
+    arr = np.minimum(np.maximum(np.asarray(raw, dtype=np.int64), 1), bins - 1)
+    arr.sort(axis=1)
+    j = np.arange(arr.shape[1])
+    arr = np.maximum.accumulate(arr - j, axis=1) + j
+    arr[:, -1] = np.minimum(arr[:, -1], bins - 1)
+    return np.minimum.accumulate((arr - j)[:, ::-1], axis=1)[:, ::-1] + j
+
+
+def reference_objectives(h, tmat, w):
+    """The objective with its f2 summands recomputed on every call."""
+    batch, dim = tmat.shape
+    k = dim + 1
+    rank, f1_terms, seg_counts = h.segment_table
+    ranks = np.column_stack((np.zeros(batch, dtype=np.int64), rank[tmat],
+                             np.full(batch, rank[-1])))
+    seg = ranks[:, :-1] * (rank[-1] + 1) + ranks[:, 1:]
+    f1 = np.sum(f1_terms[seg], axis=1)
+    f2 = np.sum((seg_counts[seg] - h.total / k) ** 2, axis=1) / h.total
+    f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
+    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
+
+
+def reference_step(s):
+    """One bat iteration with four separate draws and np.where selections,
+    every array replaced rather than updated in place."""
+    p, rng = s.params, s.rng
+    pop, dim = s.positions.shape
+    t = s.iteration + 1
+    freq = p.s_min + (p.s_max - p.s_min) * rng.random((pop, dim))
+    s.velocities = s.velocities + (s.positions - s.best_position) * freq
+    flight_raw = np.ceil(s.positions + s.velocities).astype(np.int64)
+    walk_draw = rng.random(pop)
+    steps = rng.uniform(-1.0, 1.0, (pop, dim)) * (s.loudness.sum() / pop)
+    walk_raw = np.rint(s.best_position + steps).astype(np.int64)
+    repaired = reference_repair(np.vstack((flight_raw, walk_raw)), s.histogram.bin_count)
+    flight, walk = repaired[:pop], repaired[pop:]
+    s.positions = flight
+    candidates = np.where((walk_draw > s.pulse)[:, None], walk, flight)
+    objectives = reference_objectives(s.histogram, candidates, s.weights)
+    accept = (rng.random(pop) < s.loudness) & (objectives > s.best_objective)
+    s.positions = np.where(accept[:, None], candidates, s.positions)
+    s.loudness = np.where(accept, s.loudness * p.epsilon_decay, s.loudness)
+    s.pulse = np.where(accept, p.pulse0 * (1.0 - math.exp(-p.gamma_rate * t)), s.pulse)
+    best = int(np.argmax(objectives))
+    if objectives[best] > s.best_objective:
+        s.best_objective = float(objectives[best])
+        s.best_position = candidates[best].copy()
+    s.iteration = t
+    s.best_history.append(s.best_objective)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def run_in_lockstep(swarm, ref, steps):
+    """Step `swarm` and `ref` (by `reference_step`) together; their state must
+    agree bit for bit after every step."""
+    for _ in range(steps):
+        swarm.step()
+        reference_step(ref)
+        for name in ("positions", "velocities", "loudness", "pulse", "best_position"):
+            assert bitwise_equal(getattr(swarm, name), getattr(ref, name)), name
+        assert swarm.best_objective == ref.best_objective
+        assert swarm.best_history == ref.best_history
+    # the two generators are at the same point of the stream
+    assert swarm.rng.random() == ref.rng.random()
+
+
+@st.composite
+def histograms(draw):
+    """Histograms of 2..720 bins: sparse ones with empty bins, dense ones,
+    and ones with a single occupied bin."""
+    bins = draw(st.integers(2, 720))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sparse", "dense", "single"]))
+    if kind == "single":
+        counts = np.zeros(bins, dtype=np.int64)
+        counts[draw(st.integers(0, bins - 1))] = draw(st.integers(1, 300))
+    else:
+        occupied = rng.random(bins) < (0.05 if kind == "sparse" else 0.9)
+        occupied[rng.integers(bins)] = True
+        counts = np.where(occupied, rng.integers(1, 6, bins), 0)
+    return AngleHistogram(counts)
+
+
+class TestStepMatchesReference:
+    """The in-place step against the four-draw, copying step it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), h=histograms(), pop=st.integers(2, 40),
+           s_bounds=st.sampled_from([(0.0, 2.0), (0.5, 1.5), (1.0, 1.0)]),
+           alpha1=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**63 - 1))
+    def test_bitwise_equal_every_step(self, data, h, pop, s_bounds, alpha1, seed):
+        k = data.draw(st.one_of(st.integers(2, min(h.bin_count, 12)),
+                                st.integers(2, h.bin_count)), label="k")
+        w = ObjectiveWeights(alpha1, 1.0 - alpha1)
+        params = BatParams(population=pop, s_min=s_bounds[0], s_max=s_bounds[1], seed=seed)
+        run_in_lockstep(BatSwarm(h, k, w, params), BatSwarm(h, k, w, params), 12)
+
+    def test_bitwise_equal_through_acceptances(self):
+        # a small swarm on a rugged histogram accepts moves, so the pulse
+        # rises and the walk draws decide between flight and walk
+        rng = np.random.default_rng(0)
+        h = AngleHistogram(rng.integers(1, 30, size=48))
+        for seed in range(4):
+            params = BatParams(population=4, seed=seed)
+            swarm = BatSwarm(h, 4, HALF, params)
+            run_in_lockstep(swarm, BatSwarm(h, 4, HALF, params), 80)
+            assert (swarm.loudness < params.loudness0).any()
 
 
 class TestBatParamsValidation:

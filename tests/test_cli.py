@@ -8,6 +8,15 @@ from eerpms.cli import main
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+# sweep cells that no run may be made for: each must stop the sweep before
+# it touches the output directory
+BAD_CELLS = [
+    ("sweep = omega1\nomega1_values = 1.5\n", "omega1_values must lie in [0, 1]"),
+    ("sweep = node_count\nnode_counts = 0\n", "node_counts must be at least 1"),
+]
+BAD_CELL_IDS = ["omega1-above-one", "node-count-zero"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -122,7 +131,7 @@ class TestSweep:
          "d_values must be non-negative and finite"),
         ("sweep = k_dch_grid\nk_values = 10\nd_values = nan\n",
          "d_values must be non-negative and finite"),
-    ], ids=["no-seeds", "k-zero", "d-negative", "d-nan"])
+    ] + BAD_CELLS, ids=["no-seeds", "k-zero", "d-negative", "d-nan", *BAD_CELL_IDS])
     def test_invalid_spec_exit_code(self, capsys, tmp_path, body, message):
         spec = tmp_path / "exp.ini"
         spec.write_text("[experiment]\n" + body)
@@ -131,6 +140,18 @@ class TestSweep:
         assert code == 1
         assert f"error: {message}" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("body, message", BAD_CELLS, ids=BAD_CELL_IDS)
+    def test_bad_rerun_keeps_finished_summary(self, capsys, tmp_path, body, message):
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        (out_dir / "summary.csv").write_text("finished\n")
+        spec = tmp_path / "exp.ini"
+        spec.write_text("[experiment]\n" + body)
+        code, _, err = run_cli(capsys, "sweep", str(spec), "--out", str(out_dir))
+        assert code == 1
+        assert f"error: {message}" in err
+        assert (out_dir / "summary.csv").read_text() == "finished\n"
 
 
     def test_negative_seed_is_config_error(self, capsys, tmp_path):

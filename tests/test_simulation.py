@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eerpms import (
     AreaSpec,
+    BatParams,
     NetworkConfig,
     Protocol,
+    RoundMetrics,
     Simulation,
     aggregation_energy,
     deploy,
@@ -16,6 +20,52 @@ from eerpms import (
 )
 
 FAST = dict(max_rounds=250)
+
+
+class ReferenceSimulation(Simulation):
+    """`Simulation` with round costing rebuilt from the node arrays every
+    round and priced with one `tx_energy` call per kind of link."""
+
+    def _transmit(self):
+        radio = self.config.radio
+        bits = radio.packet_bits
+        labels = self.labels
+        cost = np.zeros(len(self.nodes))
+
+        direct = self.alive & (labels < 0)
+        cost[direct] = tx_energy(radio, bits, self.d_bs[direct])
+
+        members = np.flatnonzero(labels >= 0)
+        to = self.heads[labels[members]]
+        senders, to = members[members != to], to[members != to]
+        cost[senders] = tx_energy(radio, bits, np.hypot(self.x[senders] - self.x[to],
+                                                        self.y[senders] - self.y[to]))
+        sizes = np.bincount(labels[members], minlength=self.heads.size)
+        served = np.flatnonzero(sizes)
+        head_ids = self.heads[served]
+        received = np.bincount(labels[senders], minlength=self.heads.size)[served]
+        cost[head_ids] += (self._rx_sums[received]
+                           + aggregation_energy(radio, bits, sizes[served])
+                           + tx_energy(radio, bits, self.d_bs[head_ids]))
+
+        before = self.energy[self.alive]
+        after = np.maximum(0.0, before - cost[self.alive])
+        spent = np.zeros(len(self.nodes))
+        spent[self.alive] = before - after
+        self.energy[self.alive] = after
+        dead = np.flatnonzero(self.alive)[after <= 0.0]
+        self.alive[dead] = False
+
+        return RoundMetrics(
+            round_index=self.round_index,
+            alive_count=int(self.alive.sum()),
+            total_residual_j=math.fsum(self.energy.tolist()),
+            spent_j=float(np.cumsum(spent)[-1]),
+            ch_count=int(head_ids.size),
+            per_ch_energy_j=tuple(spent[head_ids].tolist()),
+            member_counts=tuple(sizes[served].tolist()),
+            dead_node_ids=tuple(dead.tolist()),
+        )
 
 
 def alive_heads(sim):
@@ -150,6 +200,18 @@ class TestRoundStructure:
             for j, (cluster, head) in enumerate(zip(record.clusters, sim.heads.tolist())):
                 assert cluster.member_ids == np.flatnonzero(sim.labels == j).tolist()
                 assert cluster.head_id == (head if head >= 0 else None)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_costing_matches_reference(self, protocol):
+        # 0.02 J to last death: reclusterings, EERPMS clusters left empty,
+        # RLEACH rounds without a head and deaths in most rounds
+        config = NetworkConfig(protocol=protocol, seed=6, initial_energy_j=0.02)
+        sim, ref = Simulation(config), ReferenceSimulation(config)
+        while ref.alive.any():
+            assert sim.step() == ref.step()
+            assert sim.energy.tobytes() == ref.energy.tobytes()
+            assert sim.alive.tobytes() == ref.alive.tobytes()
+        assert not sim.alive.any()
 
     def test_reclustering_only_on_alive_change(self):
         config = NetworkConfig(seed=6, **FAST)
@@ -295,3 +357,65 @@ class TestDeterminism:
         a = run_simulation(NetworkConfig(seed=1, max_rounds=50))
         b = run_simulation(NetworkConfig(seed=2, max_rounds=50))
         assert a.rounds != b.rounds
+
+
+@st.composite
+def network_configs(draw):
+    """Configs the validator accepts: N 1..300, bins 2..720, k 1..bins or
+    auto, ring auto or fixed, election weights at their ends, tiny energy;
+    a short bat so that a run with a reclustering every round stays cheap."""
+    bins = draw(st.integers(2, 720))
+    omega1 = draw(st.sampled_from([0.0, 1.0, 0.7]))
+    alpha1 = draw(st.sampled_from([0.0, 1.0, 0.5]))
+    return NetworkConfig(
+        protocol=draw(st.sampled_from(list(Protocol))),
+        radius_m=draw(st.floats(1.0, 300.0)),
+        node_count=draw(st.integers(1, 300)),
+        initial_energy_j=draw(st.floats(1e-6, 1e-2)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        alpha1=alpha1, alpha2=1.0 - alpha1,
+        omega1=omega1, omega2=1.0 - omega1,
+        k_clusters=draw(st.none() | st.integers(1, bins)),
+        ring_radius_m=draw(st.none() | st.floats(0.0, 300.0)),
+        bin_count=bins,
+        bat=BatParams(population=draw(st.integers(2, 6)),
+                      max_iterations=draw(st.integers(1, 3))),
+        max_rounds=draw(st.integers(1, 80)),
+    )
+
+
+class TestConfigSpace:
+    @settings(max_examples=40, deadline=None)
+    @given(config=network_configs())
+    def test_every_accepted_config_runs_soundly(self, config):
+        sim = Simulation(config)
+        total = config.node_count * config.initial_energy_j
+        prev_residual = math.fsum(sim.energy)
+        assert prev_residual == pytest.approx(total)
+        while sim.round_index < config.max_rounds and sim.alive.any():
+            alive_before = sim.alive.copy()
+            energy_before = sim.energy.copy()
+            m = sim.step()
+            # conservation and a monotone residual
+            assert prev_residual - m.total_residual_j == pytest.approx(
+                m.spent_j, rel=1e-12, abs=1e-12 * total)
+            assert m.total_residual_j == math.fsum(sim.energy)
+            assert (sim.energy >= 0.0).all() and (sim.energy <= energy_before).all()
+            assert sim.alive.tolist() == (alive_before & (sim.energy > 0.0)).tolist()
+            prev_residual = m.total_residual_j
+            # the partition covers the nodes alive at the start of the round
+            clustered = sim.labels >= 0
+            if sim.heads.size:
+                assert clustered.tolist() == alive_before.tolist()
+                assert sim.labels.max() < sim.heads.size
+                assert alive_before[sim.heads[sim.heads >= 0]].all()
+                if config.protocol is not Protocol.RLEACH:
+                    own = sim.labels[np.maximum(sim.heads, 0)] == np.arange(sim.heads.size)
+                    assert ((sim.heads < 0) | own).all()  # a head leads its own cluster
+                sizes = np.bincount(sim.labels[clustered], minlength=sim.heads.size)
+                assert ((sizes > 0) == (sim.heads >= 0)).all()
+            else:
+                assert not clustered.any()
+        # termination within max_rounds
+        assert sim.round_index <= config.max_rounds
+        assert sim.round_index == config.max_rounds or not sim.alive.any()
