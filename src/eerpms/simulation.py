@@ -235,19 +235,22 @@ class Simulation:
         alive = terms.alive_ids
         before = self.energy[alive]
         after = np.maximum(0.0, before - cost[alive])
+        spent_alive = before - after  # exact by construction
         spent = np.zeros(self.config.node_count)
-        spent[alive] = before - after  # exact by construction
+        spent[alive] = spent_alive
         self.energy[alive] = after
         dead = alive[after <= 0.0]
         self.alive[dead] = False
 
+        # Dead nodes hold exactly 0.0, so both sums may skip them: fsum is
+        # exact, and a running sum does not change when it adds 0.0
         return RoundMetrics(
             round_index=self.round_index,
             alive_count=alive.size - dead.size,
-            total_residual_j=math.fsum(self.energy.tolist()),
+            total_residual_j=math.fsum(after.tolist()),
             # one node at a time in id order; np.sum's pairwise order would
             # change the last bits
-            spent_j=float(np.cumsum(spent)[-1]),
+            spent_j=float(np.cumsum(spent_alive)[-1]),
             ch_count=head_ids.size,
             per_ch_energy_j=tuple(spent[head_ids].tolist()),
             member_counts=terms.member_counts,

@@ -44,6 +44,23 @@ def test_traced_simulation_calls_through_patched_names():
     assert calls["bat.optimize_thresholds"] == 1
 
 
+def test_traced_crpfcm_counts_every_fcm_call():
+    # the per-layer FCM metrics read spans on `simulation.fuzzy_c_means`; a
+    # CRPFCM round that reached FCM by another name would read as no FCM work
+    tr = tracer.Tracer()
+    uninstall = tr.install(eerpms)
+    try:
+        sim = eerpms.Simulation(eerpms.NetworkConfig(
+            protocol=eerpms.Protocol.CRPFCM, node_count=40, seed=3, initial_energy_j=0.02))
+        sim.run()
+    finally:
+        uninstall()
+    calls, _, self_s = tr.totals()
+    assert sim.clustering_events > 1  # reclustered after deaths
+    assert calls["fcm.fuzzy_c_means"] == sim.clustering_events
+    assert self_s["fcm.fuzzy_c_means"] > 0.0
+
+
 def test_round_checks():
     # mutates sim.assignment after a step and reads it again, so every read
     # within one step must return the same object

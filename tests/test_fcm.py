@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eerpms import fuzzy_c_means
 
@@ -58,6 +60,64 @@ def test_k_bounds_enforced():
         fuzzy_c_means(points, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
         fuzzy_c_means(points, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("points", [
+    np.zeros((5, 3)),
+    np.zeros(5),
+    np.zeros((5, 2, 1)),
+], ids=["three-columns", "one-dimensional", "three-dimensional"])
+def test_rejects_points_not_shaped_n_by_2(points):
+    with pytest.raises(ValueError, match="shape"):
+        fuzzy_c_means(points, 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_coordinate(bad):
+    points = np.random.default_rng(0).uniform(-50, 50, size=(10, 2))
+    points[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fuzzy_c_means(points, 2, np.random.default_rng(0))
+
+
+def test_rejects_no_iterations():
+    points = np.random.default_rng(0).uniform(-50, 50, size=(10, 2))
+    with pytest.raises(ValueError, match="max_iter"):
+        fuzzy_c_means(points, 2, np.random.default_rng(0), max_iter=0)
+
+
+def allocating_fcm(points, k, rng, fuzziness=2.0, tol=1e-5, max_iter=100):
+    """The loop of `fuzzy_c_means` with fresh arrays every iteration and an
+    on-centre scan in every iteration, kept as a bitwise reference; also
+    returns the iterations (0-based) in which some point sat on a centre."""
+    n = points.shape[0]
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    power = -1.0 / (fuzziness - 1.0)
+    px, py = points[:, 0, None], points[:, 1, None]
+    membership = None
+    on_center_iterations = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iteration in range(max_iter):
+            dx = px - centers[:, 0]
+            dy = py - centers[:, 1]
+            d2 = dx * dx + dy * dy
+            zero_rows = d2 < 1e-24
+            weight = d2 ** power
+            new_membership = weight / weight.sum(axis=1, keepdims=True)
+            on_center = zero_rows.any(axis=1)
+            if on_center.any():
+                on_center_iterations.append(iteration)
+                new_membership[on_center] = 0.0
+                new_membership[zero_rows] = 1.0
+                rowsum = new_membership[on_center].sum(axis=1, keepdims=True)
+                new_membership[on_center] /= rowsum
+            if membership is not None and np.max(np.abs(new_membership - membership)) < tol:
+                membership = new_membership
+                break
+            membership = new_membership
+            um = membership ** fuzziness
+            centers = (um.T @ points) / um.sum(axis=0)[:, None]
+    return np.argmax(membership, axis=1).astype(np.int64), centers, on_center_iterations
 
 
 def ratio_tensor_fcm(points, k, rng, fuzziness=2.0, tol=1e-5, max_iter=100):
@@ -118,3 +178,31 @@ def test_matches_ratio_tensor_reference():
                                            err_msg=f"n={n} k={k}")
                 after_first += any(i > 0 for i in on_center)
     assert after_first > 0  # the on-centre rule ran past the first iteration
+
+
+def test_matches_allocating_loop_bitwise():
+    on_center_late = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 1000), k=st.integers(2, 12), duplicated=st.booleans(),
+           seed=st.integers(0, 2**31), fuzziness=st.sampled_from([1.5, 2.0, 3.0]),
+           max_iter=st.sampled_from([1, 2, 100]), tol=st.sampled_from([1e-5, 0.0]))
+    # copies of 3 distinct points, where points still sit on centres after
+    # the first update
+    @example(n=1000, k=3, duplicated=True, seed=100_001, fuzziness=2.0, max_iter=100,
+             tol=1e-5)
+    def check(n, k, duplicated, seed, fuzziness, max_iter, tol):
+        k = min(k, n)
+        points = disk_points(np.random.default_rng(seed), n, k, duplicated)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, centers = fuzzy_c_means(points, k, np.random.default_rng(seed),
+                                            fuzziness, tol, max_iter)
+            ref_labels, ref_centers, on_center = allocating_fcm(
+                points, k, np.random.default_rng(seed), fuzziness, tol, max_iter)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(centers, ref_centers)
+        on_center_late.append(any(i > 0 for i in on_center))
+
+    check()
+    assert any(on_center_late)  # the on-centre repair ran past the first iteration

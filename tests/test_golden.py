@@ -18,7 +18,8 @@ AUTO = dict(node_count=60, seed=4, k_clusters=None, ring_radius_m=None)
 TINY = dict(node_count=3, seed=5, initial_energy_j=0.01)
 # Large deployments: more occupied bins than the N=100 cases, so the bat's
 # segment table has up to min(N, bins) + 1 ranks; 0.1 J makes every node die
-# within 300 rounds, so each run reclusters 80-125 times.
+# within 300 rounds, so each run reclusters 80-125 times. CRPFCM at N=1000
+# reruns FCM on every death; RLEACH's last death there comes at round 343.
 LARGE = dict(seed=1, max_rounds=300, initial_energy_j=0.1)
 
 GOLDEN = [
@@ -79,6 +80,12 @@ GOLDEN = [
     ("n1000-b720", E, dict(LARGE, node_count=1000, bin_count=720),
      "85f63737a76659feeaccfb126fe23c4171cf4a63bf60ce566f3292bd65092a14",
      "72013fd2b2a199ffc059a3fbaec072d3118e3ba23812379f2dcb01ed9ef8aecc"),
+    ("n1000", R, dict(LARGE, node_count=1000, max_rounds=400),
+     "0c9fd2acd8807290cdf744fad9b72d934d6924818186505ee7f835db8e06d885",
+     "f7e46972f66cf3e2d84d7cb8dd09008ac35e0c7c6d75c6d0bca5fd93770b719b"),
+    ("n1000", C, dict(LARGE, node_count=1000),
+     "b38ab961db797a7122753d70351a1d533985a6229553fd59a3eb31e8899602d3",
+     "f9a2698f78f32ae383e53996659c0ac0b264cb6613ad9cd380f09d5db6adb540"),
 ]
 
 
