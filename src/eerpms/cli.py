@@ -8,7 +8,7 @@ landscape argmin, sector coverage sampling).
 Exit codes: 0 success, 1 configuration error (an output directory that
 cannot be created or written included), 2 runtime failure. Output directory
 resolution: --out flag, else the EERPMS_OUT_DIR environment variable, else
-./out.
+the spec's output_dir for `sweep` and ./out otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bat import BatParams, optimize_thresholds
-from .config import ConfigError, NetworkConfig, load_network_config
+from .config import ConfigError, NetworkConfig, load_network_config, parse_protocol
 from .experiments import (
     _check_writable,
     analytic_energy_grid,
@@ -68,10 +68,9 @@ def _int_at_least(low: int):
     return parse
 
 
-def _resolve_out(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    return Path(os.environ.get(ENV_OUT_DIR, "out"))
+def _resolve_out(flag_value: str | None, fallback: str | Path) -> Path:
+    """The --out flag, else the environment variable, else `fallback`."""
+    return Path(flag_value or os.environ.get(ENV_OUT_DIR) or fallback)
 
 
 def _load_config(path: str | None) -> NetworkConfig:
@@ -80,18 +79,16 @@ def _load_config(path: str | None) -> NetworkConfig:
     return load_network_config(path)
 
 
+def _with_flags(config: NetworkConfig, **flags) -> NetworkConfig:
+    """`config` with the flags that were given; `NetworkConfig` checks them."""
+    return config.with_overrides(**{name: value for name, value in flags.items()
+                                    if value is not None})
+
+
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.protocol is not None:
-        overrides["protocol"] = Protocol[args.protocol.upper()]
-    if args.max_rounds is not None:
-        overrides["max_rounds"] = args.max_rounds
-    if overrides:
-        config = config.with_overrides(**overrides)
-    out_dir = _resolve_out(args.out)
+    config = _with_flags(_load_config(args.config), seed=args.seed,
+                         protocol=args.protocol, max_rounds=args.max_rounds)
+    out_dir = _resolve_out(args.out, "out")
     _check_writable(out_dir)
     result = run_simulation(config)
     path = out_dir / f"rounds_{config.protocol.value}_seed{config.seed}.csv"
@@ -105,10 +102,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_experiment_spec(args.spec)
-    if args.out:
-        spec.output_dir = Path(args.out)
-    elif os.environ.get(ENV_OUT_DIR):
-        spec.output_dir = Path(os.environ[ENV_OUT_DIR])
+    spec.output_dir = _resolve_out(args.out, spec.output_dir)
     paths = run_experiment(spec)
     for path in paths:
         print(f"wrote {path}")
@@ -116,14 +110,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    config = _load_config(args.config)
-    nodes = args.nodes if args.nodes is not None else config.node_count
-    radius = args.radius if args.radius is not None else config.radius_m
-    area = AreaSpec(radius_m=radius, node_count=nodes)
+    config = _with_flags(_load_config(args.config), node_count=args.nodes,
+                         radius_m=args.radius)
+    area = AreaSpec(radius_m=config.radius_m, node_count=config.node_count)
     radio = config.radio
     d_th = distance_threshold(radio)
     plan = optimal_plan(area, radio)
-    print(f"N = {nodes}  R = {radius:g} m")
+    print(f"N = {area.node_count}  R = {area.radius_m:g} m")
     print(f"crossover distance d_th = {d_th:.4f} m")
     print(f"K* = {plan.k_star}")
     print(f"d* = {plan.d_star_m:.2f} m")
@@ -143,7 +136,7 @@ def cmd_theory(args) -> int:
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
     radio = config.radio
-    out_dir = _resolve_out(args.out)
+    out_dir = _resolve_out(args.out, "out")
     _check_writable(out_dir)
     rng = np.random.default_rng(args.seed)
 
@@ -217,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one simulation, write a rounds CSV")
     p_sim.add_argument("--config", help="network config file (INI)")
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--protocol", choices=[p.value for p in Protocol])
+    p_sim.add_argument("--protocol", type=parse_protocol,
+                       help=f"{', '.join(p.value for p in Protocol)} (any case)")
     p_sim.add_argument("--max-rounds", type=int, dest="max_rounds")
     p_sim.add_argument("--out", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)

@@ -69,29 +69,6 @@ class NetworkConfig:
         return replace(self, **kwargs)
 
 
-_KNOWN_KEYS = {
-    "network": {"radius_m", "node_count", "initial_energy_j", "seed",
-                "protocol", "max_rounds"},
-    "radio": {"e_elec_nj", "e_fs_pj", "e_mp_pj", "e_da_nj", "packet_bits"},
-    "clustering": {"alpha1", "alpha2", "k_clusters", "bin_count"},
-    "selection": {"omega1", "omega2", "ring_radius_m"},
-    "bat": {"population", "max_iterations", "s_min", "s_max", "loudness",
-            "pulse_rate", "loudness_decay", "pulse_growth"},
-}
-
-
-def _reader(cp: configparser.ConfigParser, section: str):
-    def get(key, cast, default):
-        if not cp.has_option(section, key):
-            return default
-        raw = cp.get(section, key).strip()
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-    return get
-
-
 def parse_protocol(raw: str) -> Protocol:
     try:
         return Protocol[raw.upper()]
@@ -116,56 +93,77 @@ def _scaled(exponent: int):
     return parse
 
 
-def parse_network_config(cp: configparser.ConfigParser) -> NetworkConfig:
+# The config file format: per section, INI key -> (field, parser). [radio]
+# fills RadioParams, [bat] fills BatParams and the other sections fill
+# NetworkConfig; a key that a file leaves out keeps the dataclass default.
+INI_KEYS = {
+    "network": {
+        "radius_m": ("radius_m", float),
+        "node_count": ("node_count", int),
+        "initial_energy_j": ("initial_energy_j", float),
+        "seed": ("seed", int),
+        "protocol": ("protocol", parse_protocol),
+        "max_rounds": ("max_rounds", int),
+    },
+    "radio": {
+        "e_elec_nj": ("e_elec", _scaled(-9)),
+        "e_fs_pj": ("e_fs", _scaled(-12)),
+        "e_mp_pj": ("e_mp", _scaled(-12)),
+        "e_da_nj": ("e_da", _scaled(-9)),
+        "packet_bits": ("packet_bits", int),
+    },
+    "clustering": {
+        "alpha1": ("alpha1", float),
+        "alpha2": ("alpha2", float),
+        "k_clusters": ("k_clusters", _optional(int)),
+        "bin_count": ("bin_count", int),
+    },
+    "selection": {
+        "omega1": ("omega1", float),
+        "omega2": ("omega2", float),
+        "ring_radius_m": ("ring_radius_m", _optional(float)),
+    },
+    "bat": {
+        "population": ("population", int),
+        "max_iterations": ("max_iterations", int),
+        "s_min": ("s_min", float),
+        "s_max": ("s_max", float),
+        "loudness": ("loudness0", float),
+        "pulse_rate": ("pulse0", float),
+        "loudness_decay": ("epsilon_decay", float),
+        "pulse_growth": ("gamma_rate", float),
+    },
+}
+
+
+def read_sections(cp: configparser.ConfigParser, tables: dict) -> dict[str, dict]:
+    """Parse `cp` by `tables` (section -> INI key -> (field, parser)): the
+    fields that each section of `tables` sets. Unknown sections and keys are
+    reported before any value is parsed."""
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in tables:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(cp.options(section)) - _KNOWN_KEYS[section]
+        unknown = set(cp.options(section)) - tables[section].keys()
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    fields = {section: {} for section in tables}
+    for section in cp.sections():
+        for key in cp.options(section):
+            name, parse = tables[section][key]
+            raw = cp.get(section, key).strip()
+            try:
+                fields[section][name] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    return fields
 
-    net = _reader(cp, "network")
-    rad = _reader(cp, "radio")
-    clu = _reader(cp, "clustering")
-    sel = _reader(cp, "selection")
-    bat = _reader(cp, "bat")
 
-    defaults = NetworkConfig()
+def network_config(sections: dict[str, dict]) -> NetworkConfig:
+    """The `NetworkConfig` of the fields that `read_sections` gave for `INI_KEYS`."""
     try:
-        radio = RadioParams(
-            e_elec=rad("e_elec_nj", _scaled(-9), defaults.radio.e_elec),
-            e_fs=rad("e_fs_pj", _scaled(-12), defaults.radio.e_fs),
-            e_mp=rad("e_mp_pj", _scaled(-12), defaults.radio.e_mp),
-            e_da=rad("e_da_nj", _scaled(-9), defaults.radio.e_da),
-            packet_bits=rad("packet_bits", int, defaults.radio.packet_bits),
-        )
-        bat_params = BatParams(
-            population=bat("population", int, defaults.bat.population),
-            max_iterations=bat("max_iterations", int, defaults.bat.max_iterations),
-            s_min=bat("s_min", float, defaults.bat.s_min),
-            s_max=bat("s_max", float, defaults.bat.s_max),
-            loudness0=bat("loudness", float, defaults.bat.loudness0),
-            pulse0=bat("pulse_rate", float, defaults.bat.pulse0),
-            epsilon_decay=bat("loudness_decay", float, defaults.bat.epsilon_decay),
-            gamma_rate=bat("pulse_growth", float, defaults.bat.gamma_rate),
-        )
-        return NetworkConfig(
-            radius_m=net("radius_m", float, defaults.radius_m),
-            node_count=net("node_count", int, defaults.node_count),
-            initial_energy_j=net("initial_energy_j", float, defaults.initial_energy_j),
-            radio=radio,
-            alpha1=clu("alpha1", float, defaults.alpha1),
-            alpha2=clu("alpha2", float, defaults.alpha2),
-            omega1=sel("omega1", float, defaults.omega1),
-            omega2=sel("omega2", float, defaults.omega2),
-            protocol=net("protocol", parse_protocol, defaults.protocol),
-            seed=net("seed", int, defaults.seed),
-            k_clusters=clu("k_clusters", _optional(int), defaults.k_clusters),
-            ring_radius_m=sel("ring_radius_m", _optional(float), defaults.ring_radius_m),
-            bin_count=clu("bin_count", int, defaults.bin_count),
-            bat=bat_params,
-            max_rounds=net("max_rounds", int, defaults.max_rounds),
-        )
+        return NetworkConfig(radio=RadioParams(**sections["radio"]),
+                             bat=BatParams(**sections["bat"]), **sections["network"],
+                             **sections["clustering"], **sections["selection"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -184,4 +182,4 @@ def read_ini(path: str | Path, what: str) -> configparser.ConfigParser:
 
 
 def load_network_config(path: str | Path) -> NetworkConfig:
-    return parse_network_config(read_ini(path, "config file"))
+    return network_config(read_sections(read_ini(path, "config file"), INI_KEYS))

@@ -11,19 +11,18 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, NetworkConfig, _reader, parse_network_config, \
-    parse_protocol, read_ini
+from .config import INI_KEYS, ConfigError, NetworkConfig, network_config, parse_protocol, \
+    read_ini, read_sections
 from .network import Protocol
 from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .simulation import LifetimeSummary, RoundMetrics, deploy, run_simulation
 from .theory import AreaSpec, predicted_round_energy
 
 ROUND_CSV_HEADER = "round,alive,total_residual_j,ch_count,ch_energy_mean_j,ch_energy_var,deaths"
-SUMMARY_CSV_HEADER = ("protocol,sweep,value,n_seeds,fdn_mean,fdn_sd,hdn_mean,hdn_sd,"
-                      "ldn_mean,ldn_sd")
 IMPROVEMENTS_CSV_HEADER = ("sweep,value,baseline,fdn_improvement_pct,"
                            "hdn_improvement_pct,ldn_improvement_pct")
 LANDSCAPE_CSV_HEADER = "k,d_ch_m,energy_j"
@@ -34,9 +33,9 @@ SWEEP_AXES = ("none", "node_count", "omega1", "k_dch_grid")
 @dataclass
 class ExperimentSpec:
     base: NetworkConfig
-    protocols: list[Protocol]
-    seeds: list[int]
-    output_dir: Path
+    protocols: list[Protocol] = field(default_factory=lambda: [Protocol.EERPMS])
+    seeds: list[int] = field(default_factory=lambda: [1])
+    output_dir: Path = Path("out")
     sweep_axis: str = "none"
     node_counts: list[int] = field(default_factory=list)
     omega1_values: list[float] = field(default_factory=list)
@@ -73,37 +72,37 @@ def _list_of(cast):
     return lambda raw: [cast(s) for s in raw.replace(",", " ").split()]
 
 
+# The [experiment] section of a spec file: INI key -> (field, parser)
+EXPERIMENT_KEYS = {
+    "protocols": ("protocols", _list_of(parse_protocol)),
+    "seeds": ("seeds", _list_of(int)),
+    "sweep": ("sweep_axis", str),
+    "node_counts": ("node_counts", _list_of(int)),
+    "omega1_values": ("omega1_values", _list_of(float)),
+    "k_values": ("k_values", _list_of(int)),
+    "d_values": ("d_values", _list_of(float)),
+    "output_dir": ("output_dir", Path),
+}
+
+
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     cp = read_ini(path, "experiment spec")
     if not cp.has_section("experiment"):
         raise ConfigError("spec file needs an [experiment] section")
-    known = {"protocols", "seeds", "sweep", "node_counts", "omega1_values",
-             "k_values", "d_values", "output_dir"}
-    unknown = set(cp.options("experiment")) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in [experiment]: {sorted(unknown)}")
-
-    exp = _reader(cp, "experiment")
-    fields = dict(
-        protocols=exp("protocols", _list_of(parse_protocol), [Protocol.EERPMS]),
-        seeds=exp("seeds", _list_of(int), [1]),
-        output_dir=exp("output_dir", Path, Path("out")),
-        sweep_axis=exp("sweep", str, "none"),
-        node_counts=exp("node_counts", _list_of(int), []),
-        omega1_values=exp("omega1_values", _list_of(float), []),
-        k_values=exp("k_values", _list_of(int), []),
-        d_values=exp("d_values", _list_of(float), []),
-    )
-    cp.remove_section("experiment")
-    return ExperimentSpec(base=parse_network_config(cp), **fields)
+    sections = read_sections(cp, {"experiment": EXPERIMENT_KEYS, **INI_KEYS})
+    return ExperimentSpec(base=network_config(sections), **sections["experiment"])
 
 
 # --- CSV emission -------------------------------------------------------------
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write `lines` to `path` through a temporary file in the same directory,
-    so that `path` never holds a partly written file."""
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write `header` and one line per row to `path`, floats as `repr` (which
+    reads back to the same float) and everything else as `str`. The text goes
+    through a temporary file in the same directory, so that `path` never holds
+    a partly written file."""
+    lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text("\n".join(lines) + "\n", newline="\n")
@@ -113,17 +112,14 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def write_rounds_csv(path: Path, rounds: list[RoundMetrics]) -> None:
-    lines = [ROUND_CSV_HEADER]
-    for m in rounds:
-        lines.append(
-            f"{m.round_index},{m.alive_count},{m.total_residual_j!r},{m.ch_count},"
-            f"{m.ch_energy_mean_j!r},{m.ch_energy_var!r},{len(m.dead_node_ids)}"
-        )
-    _write_lines(path, lines)
+    _write_csv(path, ROUND_CSV_HEADER, (
+        (m.round_index, m.alive_count, m.total_residual_j, m.ch_count,
+         m.ch_energy_mean_j, m.ch_energy_var, len(m.dead_node_ids)) for m in rounds))
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
+    """One row of `summary.csv`; its fields are the columns."""
+
     protocol: Protocol
     sweep: str
     value: str
@@ -150,17 +146,12 @@ def summarize_lifetime(cells: dict[tuple[Protocol, str], list[LifetimeSummary]],
     improvement percentages, computed as (EERPMS - baseline) / baseline."""
     rows = []
     for (protocol, value), summaries in cells.items():
-        stats = {}
+        stats = []
         for metric in ("fdn_round", "hdn_round", "ldn_round"):
             observed = [float(getattr(s, metric)) for s in summaries
                         if getattr(s, metric) is not None]
-            stats[metric] = _mean_sd(observed) if observed else (math.nan, math.nan)
-        rows.append(SummaryRow(
-            protocol=protocol, sweep=sweep, value=value, n_seeds=len(summaries),
-            fdn_mean=stats["fdn_round"][0], fdn_sd=stats["fdn_round"][1],
-            hdn_mean=stats["hdn_round"][0], hdn_sd=stats["hdn_round"][1],
-            ldn_mean=stats["ldn_round"][0], ldn_sd=stats["ldn_round"][1],
-        ))
+            stats.extend(_mean_sd(observed) if observed else (math.nan, math.nan))
+        rows.append(SummaryRow(protocol, sweep, value, len(summaries), *stats))
 
     improvements = []
     by_value: dict[str, dict[Protocol, SummaryRow]] = {}
@@ -173,43 +164,24 @@ def summarize_lifetime(cells: dict[tuple[Protocol, str], list[LifetimeSummary]],
         for proto, row in per_proto.items():
             if proto is Protocol.EERPMS:
                 continue
-            improvements.append({
-                "sweep": sweep,
-                "value": value,
-                "baseline": proto.value,
-                "fdn_improvement_pct": 100.0 * (ours.fdn_mean - row.fdn_mean) / row.fdn_mean,
-                "hdn_improvement_pct": 100.0 * (ours.hdn_mean - row.hdn_mean) / row.hdn_mean,
-                "ldn_improvement_pct": 100.0 * (ours.ldn_mean - row.ldn_mean) / row.ldn_mean,
-            })
+            pcts = [100.0 * (getattr(ours, mean) - getattr(row, mean)) / getattr(row, mean)
+                    for mean in ("fdn_mean", "hdn_mean", "ldn_mean")]
+            improvements.append(dict(zip(IMPROVEMENTS_CSV_HEADER.split(","),
+                                         [sweep, value, proto.value, *pcts])))
     return rows, improvements
 
 
 def write_summary_csv(path: Path, rows: list[SummaryRow]) -> None:
-    lines = [SUMMARY_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.protocol.value},{r.sweep},{r.value},{r.n_seeds},{r.fdn_mean!r},"
-            f"{r.fdn_sd!r},{r.hdn_mean!r},{r.hdn_sd!r},{r.ldn_mean!r},{r.ldn_sd!r}"
-        )
-    _write_lines(path, lines)
+    _write_csv(path, ",".join(SummaryRow._fields), rows)
 
 
 def write_improvements_csv(path: Path, improvements: list[dict]) -> None:
-    lines = [IMPROVEMENTS_CSV_HEADER]
-    for imp in improvements:
-        lines.append(
-            f"{imp['sweep']},{imp['value']},{imp['baseline']},"
-            f"{imp['fdn_improvement_pct']!r},{imp['hdn_improvement_pct']!r},"
-            f"{imp['ldn_improvement_pct']!r}"
-        )
-    _write_lines(path, lines)
+    columns = IMPROVEMENTS_CSV_HEADER.split(",")
+    _write_csv(path, IMPROVEMENTS_CSV_HEADER, ([imp[c] for c in columns] for imp in improvements))
 
 
 def write_landscape_csv(path: Path, rows: list[tuple[int, float, float]]) -> None:
-    lines = [LANDSCAPE_CSV_HEADER]
-    for k, d, e in rows:
-        lines.append(f"{k},{d!r},{e!r}")
-    _write_lines(path, lines)
+    _write_csv(path, LANDSCAPE_CSV_HEADER, rows)
 
 
 # --- energy landscape ---------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from eerpms import Protocol
 from eerpms.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -43,6 +44,17 @@ class TestTheory:
         assert code == 0
         assert "K* = 2" in out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--nodes", "0", "node_count must be at least 1"),
+        ("--radius", "-5", "radius_m must be strictly positive"),
+        ("--radius", "nan", "radius_m must be strictly positive"),
+    ], ids=["nodes-zero", "radius-negative", "radius-nan"])
+    def test_bad_flag_value_is_config_error(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "theory", flag, value)
+        assert code == 1
+        assert f"error: {message}" in err
+        assert out == ""
+
 
 class TestSimulate:
     def test_writes_rounds_csv(self, capsys, tmp_path):
@@ -77,8 +89,23 @@ class TestSimulate:
         assert "error" in err
 
     def test_bad_flag_value_is_config_error(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--protocol", "FIGWO")
+        code, _, err = run_cli(capsys, "simulate", "--protocol", "FIGWO")
         assert code == 1
+        assert ("error: unknown protocol 'FIGWO' "
+                "(expected one of EERPMS, RLEACH, CRPFCM)") in err
+
+    def test_protocol_flag_is_case_insensitive(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "simulate", "--protocol", "rleach",
+                             "--max-rounds", "5", "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "rounds_RLEACH_seed1.csv").is_file()
+
+    def test_help_lists_protocols(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(p.value in out for p in Protocol)
 
     def test_negative_seed_is_config_error(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -122,6 +149,21 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "results" / "summary.csv").is_file()
         assert out.count("wrote") == 3  # 2 round files + summary
+
+    @pytest.mark.parametrize("env, expected", [("env_out", "env_out"), (None, "spec_out"),
+                                               ("", "spec_out")], ids=["env", "unset", "empty"])
+    def test_output_dir_without_flag(self, capsys, tmp_path, monkeypatch, env, expected):
+        if env is None:
+            monkeypatch.delenv("EERPMS_OUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("EERPMS_OUT_DIR", env and str(tmp_path / env))
+        spec = tmp_path / "exp.ini"
+        spec.write_text("[experiment]\nprotocols = RLEACH\n"
+                        f"output_dir = {tmp_path / 'spec_out'}\n"
+                        "[network]\nnode_count = 10\nmax_rounds = 5\n")
+        code, _, _ = run_cli(capsys, "sweep", str(spec))
+        assert code == 0
+        assert (tmp_path / expected / "summary.csv").is_file()
 
     @pytest.mark.parametrize("body, message", [
         ("seeds =\n", "at least one seed is required"),

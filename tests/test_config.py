@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from eerpms import ConfigError, NetworkConfig, Protocol, load_network_config
+from eerpms import ConfigError, NetworkConfig, Protocol, load_experiment_spec, \
+    load_network_config
+from eerpms.config import INI_KEYS, read_ini
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
 
@@ -17,6 +19,13 @@ def write(tmp_path, text):
 def test_shipped_default_config_matches_dataclass_defaults():
     loaded = load_network_config(REPO_CONFIG)
     assert loaded == NetworkConfig()
+
+
+def test_shipped_default_config_sets_every_key():
+    # README points to configs/default.ini as the reference for the keys
+    cp = read_ini(REPO_CONFIG, "config file")
+    assert {section: set(cp.options(section)) for section in cp.sections()} == \
+        {section: set(keys) for section, keys in INI_KEYS.items()}
 
 
 def test_radio_units_converted_to_joules(tmp_path):
@@ -52,6 +61,16 @@ def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, "[network]\nnode_cuont = 42\n")
     with pytest.raises(ConfigError):
         load_network_config(path)
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_network_config, "[network]\nnode_count = many\n[bat]\nloudnes = 1\n"),
+    (load_experiment_spec, "[experiment]\nseeds = 1 x\n[bat]\nloudnes = 1\n"),
+], ids=["config", "spec"])
+def test_unknown_key_reported_before_bad_value(tmp_path, load, text):
+    with pytest.raises(ConfigError) as info:
+        load(write(tmp_path, text))
+    assert str(info.value) == "unknown keys in [bat]: ['loudnes']"
 
 
 def test_unknown_section_rejected(tmp_path):

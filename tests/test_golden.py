@@ -1,7 +1,8 @@
-"""Golden digests of the rounds CSV.
+"""Golden digests of the CSV outputs.
 
-Each case pins the SHA-256 of `write_rounds_csv` output for one
-(protocol, config) run, and of the run's full per-round metrics. A change
+Each rounds case pins the SHA-256 of `write_rounds_csv` output for one
+(protocol, config) run, and of the run's full per-round metrics. The sweep
+cases pin `summary.csv`, `improvements.csv` and a landscape CSV. A change
 to the simulator that keeps its outputs must keep these digests; one that
 changes floats on purpose re-baselines them once and says so in CHANGES.md.
 """
@@ -10,7 +11,7 @@ import hashlib
 
 import pytest
 
-from eerpms import NetworkConfig, Protocol, run_simulation
+from eerpms import ExperimentSpec, NetworkConfig, Protocol, run_experiment, run_simulation
 from eerpms.experiments import write_rounds_csv
 
 E, R, C = Protocol.EERPMS, Protocol.RLEACH, Protocol.CRPFCM
@@ -104,3 +105,26 @@ def rounds_digests(tmp_path, protocol, overrides) -> tuple[str, str]:
                          ids=[f"{name}-{p.value}" for name, p, *_ in GOLDEN])
 def test_rounds_csv_digest(tmp_path, name, protocol, overrides, csv_digest, metrics_digest):
     assert rounds_digests(tmp_path, protocol, overrides) == (csv_digest, metrics_digest)
+
+
+# 60 rounds on 0.02 J: some cells see every last death, some a part of them
+# and some none, so the summary holds partial means, a zero sd and NaNs
+SWEEP_BASE = NetworkConfig(node_count=30, initial_energy_j=0.02, max_rounds=60)
+SWEEPS = [
+    ("omega1", dict(protocols=list(Protocol), seeds=[1, 2], sweep_axis="omega1",
+                    omega1_values=[0.3, 0.7]),
+     {"summary.csv": "1f96e746da8d0fc38339d1d2ad9415bee9377c98a5a709c6b03c1cd67c3d85bc",
+      "improvements.csv": "831ee854cbdfedb5ee87aab5c94023e28afb772a38ec4eec1d77f19a467147b9"}),
+    ("k_dch_grid", dict(protocols=[], seeds=[1, 2, 3], sweep_axis="k_dch_grid",
+                        k_values=[1, 5, 10], d_values=[0.0, 45.0, 90.5]),
+     {"landscape_simulated.csv":
+      "aef7c62dadda789e4cc05f2fc1284814dddc80cd6437180b55bb80000be987d6"}),
+]
+
+
+@pytest.mark.parametrize("fields, digests", [case[1:] for case in SWEEPS],
+                         ids=[case[0] for case in SWEEPS])
+def test_sweep_csv_digests(tmp_path, fields, digests):
+    paths = run_experiment(ExperimentSpec(base=SWEEP_BASE, output_dir=tmp_path, **fields))
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert {name: written.get(name) for name in digests} == digests
