@@ -50,8 +50,9 @@ class BatParams:
             raise ValueError("gamma_rate must be positive")
 
 
-def _repair_in_place(arr: np.ndarray, bin_count: int) -> None:
-    """Clamp, sort and deduplicate the rows of an int64 (batch, dim) matrix.
+def _repair_in_place(arr: np.ndarray, bin_count: int, ramp: np.ndarray) -> None:
+    """Clamp, sort and deduplicate the rows of an int64 (batch, dim) matrix;
+    `ramp` is `np.arange(dim)`.
 
     Duplicates cascade upward to the nearest free level; if the top fills
     up, the tail is pulled back down from the last valid level.
@@ -63,22 +64,67 @@ def _repair_in_place(arr: np.ndarray, bin_count: int) -> None:
     # the top, arr[j] = min(arr[j], arr[j+1] - 1) below a last level clamped
     # at bin_count - 1, is one clamp of arr[j] - j at bin_count - dim, which
     # also makes a clamp of the inputs at bin_count - 1 unnecessary.
-    j = np.arange(arr.shape[1])
-    arr -= j
+    arr -= ramp
     np.maximum.accumulate(arr, axis=1, out=arr)
     np.minimum(arr, bin_count - arr.shape[1], out=arr)
-    arr += j
+    arr += ramp
 
 
 def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
     """`_repair_in_place` on a copy of `raw`, which is left as it was."""
     arr = np.array(raw, dtype=np.int64)
-    _repair_in_place(arr, bin_count)
+    _repair_in_place(arr, bin_count, np.arange(arr.shape[1]))
     return arr
 
 
+def _split(block: np.ndarray, pop: int, dim: int):
+    """Views of a drawn (m, 2*pop*(dim+1)) block, one row per iteration: the
+    (m, pop, dim) flight frequencies, (m, pop) walk draws, (m, pop, dim) walk
+    steps and (m, pop) acceptance draws."""
+    m = len(block)
+    return (block[:, :pop * dim].reshape(m, pop, dim),
+            block[:, pop * dim:pop * (dim + 1)],
+            block[:, pop * (dim + 1):pop * (2 * dim + 1)].reshape(m, pop, dim),
+            block[:, pop * (2 * dim + 1):])
+
+
+_FIRST_WINDOW = 4        # iterations in a window after the start or an improvement
+_WINDOW_DRAWS = 40_000   # uniforms a window draws, at most (and one iteration at least):
+                         # 66 iterations, 1 980 candidates, at population 30 and k = 10
+
+
 class BatSwarm:
-    """Mutable optimizer state; `step()` advances one synchronous iteration."""
+    """Mutable optimizer state; `step()` advances one synchronous iteration.
+
+    Iteration t draws one block of 2*pop*(dim+1) uniforms from `rng` and
+    reads it in order as: the (pop, dim) flight frequencies, pop walk
+    draws, the (pop, dim) walk steps and pop acceptance draws. This is the
+    stream that four separate draws of those shapes would take. Each bat
+    flies, `v += (x - best) * (s_min + (s_max - s_min) * u)` and
+    `x = repair(ceil(x + v))`; its candidate is that flight, or a walk
+    `repair(rint(best + (2u - 1) * mean loudness))` when its walk draw
+    exceeds its pulse rate. A candidate above the best objective is
+    accepted when its acceptance draw is below the bat's loudness; the
+    best is refreshed once per iteration.
+
+    `_advance` runs iterations in windows of several at a time, with the
+    same result bit for bit. An iteration in which no candidate beats
+    `best_objective` accepts nothing, so it leaves `best_position`,
+    `best_objective`, `loudness` and `pulse` as they were. Until the first
+    improving iteration, the draws alone then fix every walk and every
+    choice between walk and flight. So a window draws the blocks of its m
+    iterations in one `rng.random` call (the stream is the same as m
+    draws), runs only the flight recurrence one iteration at a time, and
+    repairs the walks, picks the candidates and scores all m * pop of them
+    at once; repair and objective work row by row. The window is cut at
+    its first improving iteration: that iteration commits with its own t,
+    and the later ones are recomputed from the same draws in the next
+    window. The frequency and walk-step rescales are applied to a block
+    once, when it is drawn; nothing that depends on the swarm is written
+    into it. Windows start at `_FIRST_WINDOW` iterations, double after a
+    window without improvement and start over after one, and draw at most
+    `_WINDOW_DRAWS` uniforms, which bounds every buffer of a window.
+    """
 
     def __init__(self, histogram: AngleHistogram, k: int, weights: ObjectiveWeights,
                  params: BatParams) -> None:
@@ -107,7 +153,6 @@ class BatSwarm:
                                          size=(pop - seeded, dim))
         self.positions = _repair_many(raw, histogram.bin_count)
         self.velocities = np.zeros((pop, dim))
-        self._raw = np.empty((2 * pop, dim), dtype=np.int64)  # flight, then walk
         self.loudness = np.full(pop, params.loudness0)
         self.pulse = np.zeros(pop)
         self.iteration = 0
@@ -118,63 +163,93 @@ class BatSwarm:
         self.best_history = [self.best_objective]
 
     def step(self) -> None:
-        """One synchronous iteration.
-
-        The iteration draws one block of 2*pop*(dim+1) uniforms from `rng`
-        and reads it in order as: the (pop, dim) flight frequencies, pop
-        walk draws, the (pop, dim) walk steps (each -1 + 2u, uniform on
-        [-1, 1)) and pop acceptance draws. This is the stream that four
-        separate draws of those shapes would take, in that order.
-        """
-        p = self.params
-        pop, dim = self.positions.shape
-        t = self.iteration + 1
-        u = self.rng.random(2 * pop * (dim + 1))
-        freq = u[:pop * dim].reshape(pop, dim)
-        walk_draw = u[pop * dim:pop * (dim + 1)]
-        steps = u[pop * (dim + 1):pop * (2 * dim + 1)].reshape(pop, dim)
-        accept_draw = u[pop * (2 * dim + 1):]
-
-        # velocity += (position - best) * (s_min + (s_max - s_min) * u)
-        freq *= p.s_max - p.s_min
-        freq += p.s_min
-        freq *= self.positions - self.best_position
-        self.velocities += freq
-        raw = self._raw
-        np.ceil(self.positions + self.velocities, out=raw[:pop], casting="unsafe")
-
-        # Local walk around the incumbent best, scaled by the mean loudness.
-        # Rounded to nearest: with a sub-unit symmetric step, a ceiling could
-        # never decrease a threshold and the walk would only drift upward.
-        steps *= 2.0
-        steps -= 1.0
-        steps *= self.loudness.sum() / pop
-        steps += self.best_position
-        np.rint(steps, out=raw[pop:], casting="unsafe")
-        _repair_in_place(raw, self.histogram.bin_count)
-        np.copyto(self.positions, raw[:pop])
-        # the candidates overwrite the flight rows: a bat's walk where it walks
-        candidates = raw[:pop]
-        np.copyto(candidates, raw[pop:], where=(walk_draw > self.pulse)[:, None])
-
-        objectives = evaluate_threshold_sets(self.histogram, candidates, self.weights)
-        accept = (accept_draw < self.loudness) & (objectives > self.best_objective)
-        np.copyto(self.positions, candidates, where=accept[:, None])
-        np.multiply(self.loudness, p.epsilon_decay, out=self.loudness, where=accept)
-        np.copyto(self.pulse, p.pulse0 * (1.0 - math.exp(-p.gamma_rate * t)), where=accept)
-
-        best = int(objectives.argmax())
-        if objectives[best] > self.best_objective:
-            self.best_objective = float(objectives[best])
-            self.best_position = candidates[best].copy()
-        self.iteration = t
-        self.best_history.append(self.best_objective)
+        """One synchronous iteration."""
+        self._advance(1)
 
     def run(self) -> tuple[ThresholdSet, float]:
-        for _ in range(self.params.max_iterations):
-            self.step()
+        self._advance(self.params.max_iterations)
         t = ThresholdSet(tuple(int(v) for v in self.best_position), self.k)
         return t, self.best_objective
+
+    def _advance(self, n: int) -> None:
+        """`n` synchronous iterations, in windows (see the class docstring)."""
+        p = self.params
+        pop, dim = self.positions.shape
+        width = 2 * pop * (dim + 1)
+        cap = max(1, _WINDOW_DRAWS // width)
+        size = _FIRST_WINDOW
+        block = np.empty((0, width))
+        remaining = n
+        while remaining:
+            if not len(block):
+                block = self.rng.random((min(size, cap, remaining), width))
+                freq, _, steps, _ = _split(block, pop, dim)
+                freq *= p.s_max - p.s_min
+                freq += p.s_min
+                steps *= 2.0
+                steps -= 1.0
+            done = self._window(block)
+            remaining -= done
+            block = block[done:]
+            size = _FIRST_WINDOW if len(block) else 2 * size
+
+    def _window(self, block: np.ndarray) -> int:
+        """Run the m iterations whose rescaled draws are the rows of `block`
+        up to the first that improves on the best; return how many ran."""
+        p = self.params
+        m = len(block)
+        pop, dim = self.positions.shape
+        bins = self.histogram.bin_count
+        freq, walk_draw, steps, accept_draw = _split(block, pop, dim)
+        best = self.best_position
+        ramp = np.arange(dim)
+
+        # The flights, one iteration at a time against the unchanged best.
+        flights = np.empty((m, pop, dim), dtype=np.int64)
+        velocities = np.empty((m, pop, dim))
+        moved = np.empty((pop, dim))
+        x, v = self.positions, self.velocities
+        for f, velocity, flight in zip(freq, velocities, flights):
+            np.multiply(f, x - best, out=velocity)
+            velocity += v
+            np.add(x, velocity, out=moved)
+            np.ceil(moved, out=flight, casting="unsafe")
+            _repair_in_place(flight, bins, ramp)
+            x, v = flight, velocity
+
+        # Local walks around the incumbent best, scaled by the mean loudness.
+        # Rounded to nearest: with a sub-unit symmetric step, a ceiling could
+        # never decrease a threshold and the walk would only drift upward.
+        walks = steps * (self.loudness.sum() / pop)
+        walks += best
+        candidates = np.empty((m * pop, dim), dtype=np.int64)
+        np.rint(walks.reshape(m * pop, dim), out=candidates, casting="unsafe")
+        _repair_in_place(candidates, bins, ramp)
+        candidates = candidates.reshape(m, pop, dim)
+        # a bat's flight where it does not walk
+        np.copyto(candidates, flights, where=(walk_draw <= self.pulse)[:, :, None])
+        objectives = evaluate_threshold_sets(
+            self.histogram, candidates.reshape(m * pop, dim), self.weights).reshape(m, pop)
+
+        improving = np.flatnonzero(objectives.max(axis=1) > self.best_objective)
+        last = int(improving[0]) if improving.size else m - 1
+        np.copyto(self.positions, flights[last])
+        np.copyto(self.velocities, velocities[last])
+        self.best_history += [self.best_objective] * last
+        if improving.size:
+            t = self.iteration + last + 1
+            obj, cand = objectives[last], candidates[last]
+            accept = (accept_draw[last] < self.loudness) & (obj > self.best_objective)
+            np.copyto(self.positions, cand, where=accept[:, None])
+            np.multiply(self.loudness, p.epsilon_decay, out=self.loudness, where=accept)
+            np.copyto(self.pulse, p.pulse0 * (1.0 - math.exp(-p.gamma_rate * t)),
+                      where=accept)
+            top = int(obj.argmax())
+            self.best_objective = float(obj[top])
+            self.best_position = cand[top].copy()
+        self.best_history.append(self.best_objective)
+        self.iteration += last + 1
+        return last + 1
 
 
 def optimize_thresholds(h: AngleHistogram, k: int, w: ObjectiveWeights,

@@ -197,11 +197,20 @@ def objective_f1(h: AngleHistogram, t: ThresholdSet, w: ObjectiveWeights) -> flo
 def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
                             w: ObjectiveWeights) -> np.ndarray:
     """Vectorized objective over a (batch, k-1) matrix of sorted thresholds,
-    read from the histogram's segment table."""
+    read from the histogram's segment table.
+
+    Every row must be a valid threshold set for the histogram, strictly
+    increasing within [1, bin_count - 1], as `ThresholdSet` and `validate_for`
+    require; a (batch, 0) matrix scores the single segment k = 1.
+    """
     tmat = np.asarray(tmat, dtype=np.int64)
     if tmat.ndim != 2:
         raise ValueError("expected a 2-D threshold matrix")
     batch, dim = tmat.shape
+    if batch and dim and (tmat[:, 0].min() < 1 or tmat[:, -1].max() >= h.bin_count
+                          or not (tmat[:, 1:] > tmat[:, :-1]).all()):
+        raise ValueError("threshold rows must be strictly increasing "
+                         "within [1, bin_count - 1]")
     k = dim + 1
     rank, f1_terms, _ = h.segment_table
     width = rank[-1] + 1

@@ -11,10 +11,12 @@ from eerpms import (
     BatParams,
     BatSwarm,
     ObjectiveWeights,
+    ThresholdSet,
     exhaustive_best_threshold,
     objective_f1,
     optimize_thresholds,
 )
+from eerpms import bat
 from eerpms.bat import _repair_many
 
 HALF = ObjectiveWeights(0.5, 0.5)
@@ -257,18 +259,41 @@ def bitwise_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_same_state(swarm, ref):
+    for name in ("positions", "velocities", "loudness", "pulse", "best_position"):
+        assert bitwise_equal(getattr(swarm, name), getattr(ref, name)), name
+    assert swarm.best_objective == ref.best_objective
+    assert swarm.best_history == ref.best_history
+    assert swarm.iteration == ref.iteration
+
+
 def run_in_lockstep(swarm, ref, steps):
     """Step `swarm` and `ref` (by `reference_step`) together; their state must
     agree bit for bit after every step."""
     for _ in range(steps):
         swarm.step()
         reference_step(ref)
-        for name in ("positions", "velocities", "loudness", "pulse", "best_position"):
-            assert bitwise_equal(getattr(swarm, name), getattr(ref, name)), name
-        assert swarm.best_objective == ref.best_objective
-        assert swarm.best_history == ref.best_history
+        assert_same_state(swarm, ref)
     # the two generators are at the same point of the stream
     assert swarm.rng.random() == ref.rng.random()
+
+
+def run_against_reference(swarm, ref):
+    """`swarm.run()` in windows against `max_iterations` reference steps of
+    `ref`; their end state, result and generator position must agree."""
+    result = swarm.run()
+    for _ in range(ref.params.max_iterations):
+        reference_step(ref)
+    assert_same_state(swarm, ref)
+    assert swarm.rng.random() == ref.rng.random()
+    assert result == (ThresholdSet(tuple(ref.best_position.tolist()), ref.k),
+                      ref.best_objective)
+
+
+def improving_iterations(swarm):
+    """The iterations t >= 1 after which the best objective had risen."""
+    history = swarm.best_history
+    return [t for t in range(1, len(history)) if history[t] > history[t - 1]]
 
 
 @st.composite
@@ -289,7 +314,8 @@ def histograms(draw):
 
 
 class TestStepMatchesReference:
-    """The in-place step against the four-draw, copying step it replaced."""
+    """The in-place step, a window of one iteration, against the four-draw,
+    copying step it replaced."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), h=histograms(), pop=st.integers(2, 40),
@@ -312,6 +338,73 @@ class TestStepMatchesReference:
             swarm = BatSwarm(h, 4, HALF, params)
             run_in_lockstep(swarm, BatSwarm(h, 4, HALF, params), 80)
             assert (swarm.loudness < params.loudness0).any()
+
+
+class TestRunMatchesReference:
+    """`run()` advances in windows of several iterations, cut at the first
+    that improves on the best; it must equal as many reference steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), h=histograms(), pop=st.integers(2, 40),
+           iterations=st.one_of(st.sampled_from([1, 2, 100]), st.integers(1, 120)),
+           s_bounds=st.sampled_from([(0.0, 2.0), (0.5, 1.5), (1.0, 1.0)]),
+           alpha1=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**63 - 1))
+    def test_bitwise_equal_to_reference_steps(self, data, h, pop, iterations, s_bounds,
+                                              alpha1, seed):
+        k = data.draw(st.one_of(st.integers(2, min(h.bin_count, 12)),
+                                st.integers(2, h.bin_count)), label="k")
+        w = ObjectiveWeights(alpha1, 1.0 - alpha1)
+        params = BatParams(population=pop, max_iterations=iterations,
+                           s_min=s_bounds[0], s_max=s_bounds[1], seed=seed)
+        run_against_reference(BatSwarm(h, k, w, params), BatSwarm(h, k, w, params))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), pop=st.integers(2, 6),
+           iterations=st.sampled_from([2, 100, 150]), pulse0=st.sampled_from([0.5, 1.0]))
+    def test_late_acceptances_cut_windows(self, seed, pop, iterations, pulse0):
+        # a small swarm on a rugged histogram keeps improving after the first
+        # window, so windows are cut part-way; accepted bats get a pulse rate,
+        # so their flights, not only walks, become candidates
+        rng = np.random.default_rng(0)
+        h = AngleHistogram(rng.integers(1, 30, size=48))
+        params = BatParams(population=pop, max_iterations=iterations, pulse0=pulse0,
+                           seed=seed)
+        run_against_reference(BatSwarm(h, 4, HALF, params), BatSwarm(h, 4, HALF, params))
+
+    def test_cases_above_reach_late_cuts_and_flights(self):
+        # what the property above relies on, for fixed seeds
+        rng = np.random.default_rng(0)
+        h = AngleHistogram(rng.integers(1, 30, size=48))
+        late, flying = 0, 0
+        for seed in range(8):
+            swarm = BatSwarm(h, 4, HALF, BatParams(population=4, max_iterations=100,
+                                                   seed=seed))
+            swarm.run()
+            late += sum(t > 4 for t in improving_iterations(swarm))
+            flying += int((swarm.pulse > 0).sum())
+        assert late >= 8 and flying >= 8
+
+    @pytest.mark.parametrize("pop, k, seed", [(30, 10, 4), (8, 12, 3)])
+    def test_run_far_longer_than_a_window(self, pop, k, seed, monkeypatch):
+        # windows of 66 and 208 iterations, and both runs still improve after
+        # the first full-size window
+        calls = []
+        evaluate = bat.evaluate_threshold_sets
+
+        def counted(h, tmat, w):
+            calls.append(len(tmat))
+            return evaluate(h, tmat, w)
+        monkeypatch.setattr(bat, "evaluate_threshold_sets", counted)
+        h = toy_histogram(11, bins=360) if k == 10 else \
+            AngleHistogram(np.random.default_rng(0).integers(1, 30, size=48))
+        params = BatParams(population=pop, max_iterations=1000, seed=seed)
+        swarm, ref = BatSwarm(h, k, HALF, params), BatSwarm(h, k, HALF, params)
+        calls.clear()
+        run_against_reference(swarm, ref)
+        window = bat._WINDOW_DRAWS // (2 * pop * k)
+        assert max(calls) <= window * pop
+        assert sum(calls) >= 1000 * pop  # every iteration was scored
+        assert max(improving_iterations(swarm)) > window
 
 
 class TestBatParamsValidation:

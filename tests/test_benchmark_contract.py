@@ -44,6 +44,29 @@ def test_traced_simulation_calls_through_patched_names():
     assert calls["bat.optimize_thresholds"] == 1
 
 
+def test_traced_eerpms_counts_every_objective_call():
+    # the per-layer objective metrics read spans on `bat.evaluate_threshold_sets`;
+    # a bat that scored its candidates by another name would read as no work
+    tr = tracer.Tracer()
+    uninstall = tr.install(eerpms)
+    try:
+        sim = eerpms.Simulation(eerpms.NetworkConfig(node_count=40, seed=3,
+                                                     initial_energy_j=0.02))
+        sim.run()
+    finally:
+        uninstall()
+    calls, _, self_s = tr.totals()
+    assert sim.config.k_clusters > 1
+    assert sim.clustering_events > 1  # reclustered after deaths
+    assert calls["bat.optimize_thresholds"] == sim.clustering_events
+    assert calls["otsu.evaluate_threshold_sets"] >= calls["bat.optimize_thresholds"]
+    # the start and every iteration of every search scored a row per bat
+    bp = sim.config.bat
+    assert tr.counts["otsu.evaluate_threshold_sets.rows"] >= \
+        calls["bat.optimize_thresholds"] * bp.population * (bp.max_iterations + 1) > 0
+    assert self_s["otsu.evaluate_threshold_sets"] > 0.0
+
+
 def test_traced_crpfcm_counts_every_fcm_call():
     # the per-layer FCM metrics read spans on `simulation.fuzzy_c_means`; a
     # CRPFCM round that reached FCM by another name would read as no FCM work

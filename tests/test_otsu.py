@@ -259,6 +259,15 @@ class TestSegmentTable:
             assert np.array_equal(evaluate_threshold_sets(h, tmat, HALF),
                                   six_gather_objective(h, tmat, HALF))
 
+    @pytest.mark.parametrize("row", [[-1, 5], [5, 2], [0, 5], [2, 8], [3, 3]],
+                             ids=["negative", "decreasing", "zero", "past-last-bin", "repeated"])
+    def test_invalid_row_rejected(self, row):
+        # rows ThresholdSet or validate_for reject; the gathers would score
+        # them (a negative index wraps) without this check
+        h = AngleHistogram([3, 0, 2, 5, 1, 0, 4, 2])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evaluate_threshold_sets(h, np.array([[2, 4], row, [1, 7]]), HALF)
+
     def test_table_size_is_occupied_bins_plus_one_squared(self):
         h = AngleHistogram([0, 2, 0, 0, 1, 1, 0])
         rank, f1_terms, counts = h.segment_table
