@@ -13,9 +13,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .bat import BatParams
 from .network import Protocol
-from .radio import RadioParams
+from .radio import RadioParams, tx_energy
+
+# Bat flights and walks are computed in float64 and cast to int64 bin
+# indices: their magnitudes must stay among float64's exact integers.
+_EXACT_FLOAT_INT = 2.0 ** 52
+_INT64_MAX = 2 ** 63 - 1
 
 
 class ConfigError(Exception):
@@ -64,6 +71,32 @@ class NetworkConfig:
             raise ConfigError("bin_count must be at least 2")
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be at least 1")
+        self._check_computable()
+
+    def _check_computable(self) -> None:
+        """Reject values the model cannot compute: every sum of energies and
+        every cost must stay finite, the per-cluster bit counts must fit
+        int64, and the bat's moves must stay exact integers in float64."""
+        if not math.isfinite(self.node_count * self.initial_energy_j):
+            raise ConfigError("node_count * initial_energy_j must be finite")
+        bits = self.radio.packet_bits
+        if self.node_count * bits > _INT64_MAX:
+            raise ConfigError("node_count * packet_bits must fit a 64-bit integer")
+        try:
+            with np.errstate(over="ignore"):
+                worst = tx_energy(self.radio, bits, 2.0 * self.radius_m)
+        except OverflowError:
+            worst = math.inf
+        if not math.isfinite(worst):
+            raise ConfigError("the energy of a link across the field (2 * radius_m) "
+                              "must be finite")
+        bat = self.bat
+        speed = max(abs(bat.s_min), abs(bat.s_max))
+        if bat.max_iterations * self.bin_count * speed >= _EXACT_FLOAT_INT:
+            raise ConfigError("bat max_iterations * bin_count * max(|s_min|, |s_max|) "
+                              "must stay below 2**52")
+        if bat.loudness0 * self.bin_count >= _EXACT_FLOAT_INT:
+            raise ConfigError("bat loudness * bin_count must stay below 2**52")
 
     def with_overrides(self, **kwargs) -> "NetworkConfig":
         return replace(self, **kwargs)

@@ -194,6 +194,32 @@ def analytic_energy_grid(area: AreaSpec, radio: RadioParams, k_values,
             for k in k_values for d in d_values]
 
 
+def _forced_energies(xs: np.ndarray, ys: np.ndarray, radio: RadioParams, k: int,
+                     d_values: list[float]) -> np.ndarray:
+    """`forced_round_energy` of one deployment at one k for every head
+    distance in `d_values`: the sectors, bisectors and sector counts are
+    found once, and each distance's member terms are one row of a (D, n)
+    array, summed row by row."""
+    bits = radio.packet_bits
+    angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
+    sector = np.minimum((angles * k / (2.0 * math.pi)).astype(np.int64), k - 1)
+    bisector = (sector + 0.5) * (2.0 * math.pi / k)
+    d = np.array(d_values, dtype=float)
+    hx = np.multiply.outer(d, np.cos(bisector))
+    hy = np.multiply.outer(d, np.sin(bisector))
+    dist = np.hypot(xs - hx, ys - hy)
+    d_th = math.sqrt(radio.e_fs / radio.e_mp)
+    amp = np.where(dist <= d_th, radio.e_fs * dist ** 2, radio.e_mp * dist ** 4)
+    total = np.sum(bits * radio.e_elec + bits * amp, axis=1)
+    counts = np.bincount(sector, minlength=k)
+    head_to_sink = tx_energy(radio, bits, d)
+    for m in counts[counts > 0].tolist():
+        total += (m - 1) * rx_energy(radio, bits)
+        total += aggregation_energy(radio, bits, m)
+        total += head_to_sink
+    return total
+
+
 def forced_round_energy(xs: np.ndarray, ys: np.ndarray, radio: RadioParams,
                         k: int, d_ch: float) -> float:
     """One round's energy with k equal angular sectors and each sector's head
@@ -204,23 +230,7 @@ def forced_round_energy(xs: np.ndarray, ys: np.ndarray, radio: RadioParams,
     head receives one packet per other member, fuses the sector's readings
     and forwards a single packet to the sink. Empty sectors cost nothing.
     """
-    bits = radio.packet_bits
-    angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
-    sector = np.minimum((angles * k / (2.0 * math.pi)).astype(np.int64), k - 1)
-    bisector = (sector + 0.5) * (2.0 * math.pi / k)
-    hx = d_ch * np.cos(bisector)
-    hy = d_ch * np.sin(bisector)
-    dist = np.hypot(xs - hx, ys - hy)
-    d_th = math.sqrt(radio.e_fs / radio.e_mp)
-    amp = np.where(dist <= d_th, radio.e_fs * dist ** 2, radio.e_mp * dist ** 4)
-    total = float(np.sum(bits * radio.e_elec + bits * amp))
-    counts = np.bincount(sector, minlength=k)
-    head_to_sink = tx_energy(radio, bits, d_ch)
-    for m in counts[counts > 0]:
-        total += (int(m) - 1) * rx_energy(radio, bits)
-        total += aggregation_energy(radio, bits, int(m))
-        total += head_to_sink
-    return total
+    return float(_forced_energies(xs, ys, radio, k, [d_ch])[0])
 
 
 def simulated_energy_grid(area: AreaSpec, radio: RadioParams, k_values, d_values,
@@ -231,13 +241,13 @@ def simulated_energy_grid(area: AreaSpec, radio: RadioParams, k_values, d_values
         nodes = deploy(area, seed)
         deployments.append((np.array([n.x for n in nodes]),
                             np.array([n.y for n in nodes])))
+    d_values = [float(d) for d in d_values]
     rows = []
     for k in k_values:
-        for d in d_values:
-            total = 0.0
-            for xs, ys in deployments:
-                total += forced_round_energy(xs, ys, radio, int(k), float(d))
-            rows.append((int(k), float(d), total / len(deployments)))
+        total = np.zeros(len(d_values))
+        for xs, ys in deployments:
+            total += _forced_energies(xs, ys, radio, int(k), d_values)
+        rows.extend((int(k), d, e / len(deployments)) for d, e in zip(d_values, total.tolist()))
     return rows
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 #: Maximum number of threshold combinations the exhaustive search will visit.
 EXHAUSTIVE_CAP = 10_000_000
+#: Most threshold sets the exhaustive search scores in one call.
+EXHAUSTIVE_BLOCK = 65_536
 
 _TWO_PI = 2.0 * math.pi
 
@@ -225,13 +227,75 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
     return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
 
 
+def _prepend(firsts: np.ndarray, tail: np.ndarray, max_rows: int,
+             prefix: tuple = ()) -> np.ndarray:
+    """Rows `(*prefix, v, *row)` for each first value v of the increasing run
+    `firsts` and each row of `tail` whose first entry exceeds v, in
+    lexicographic order, for as many leading first values as fit in
+    `max_rows` (one at least).
+
+    `tail` is the lexicographic table of all m-combinations of v0+1..hi-1,
+    v0 = firsts[0]: the combinations above any v >= v0 are a contiguous
+    tail of it."""
+    if tail.shape[1]:
+        starts = np.searchsorted(tail[:, 0], firsts, side="right")
+    else:
+        starts = np.zeros(firsts.size, dtype=np.int64)
+    counts = len(tail) - starts
+    ends = np.cumsum(counts)
+    used = max(1, int(np.searchsorted(ends, max_rows, side="right")))
+    counts, ends = counts[:used], ends[:used]
+    rows = np.arange(ends[-1]) + np.repeat(starts[:used] - (ends - counts), counts)
+    p = len(prefix)
+    out = np.empty((ends[-1], p + 1 + tail.shape[1]), dtype=np.int64)
+    out[:, :p] = prefix
+    out[:, p] = np.repeat(firsts[:used], counts)
+    out[:, p + 1:] = tail[rows]
+    return out
+
+
+def _combination_table(lo: int, hi: int, size: int) -> np.ndarray:
+    """All `size`-combinations of lo..hi-1, one per row, in lexicographic
+    order; built from the last column forward, and every table on the way
+    is no longer than the result."""
+    table = np.empty((1, 0), dtype=np.int64)
+    for m in range(1, size + 1):
+        firsts = np.arange(lo + size - m, hi - m + 1)
+        table = _prepend(firsts, table, len(table) * firsts.size)
+    return table
+
+
+def _combination_blocks(lo: int, hi: int, size: int, max_rows: int, prefix: tuple = ()):
+    """The `size`-combinations of lo..hi-1 in lexicographic order, each after
+    the values of `prefix`, as int64 blocks of at most `max_rows` rows
+    (size >= 1).
+
+    A first value with more rows than that joins the prefix of its own
+    tail's blocks. Rows per first value fall as it rises, so from the first
+    one that fits on, consecutive first values share blocks, all cut from
+    one table of tails."""
+    v = lo
+    while v <= hi - size and math.comb(hi - v - 1, size - 1) > max_rows:
+        yield from _combination_blocks(v + 1, hi, size - 1, max_rows, (*prefix, v))
+        v += 1
+    tails = _combination_table(v + 1, hi, size - 1)
+    while v <= hi - size:
+        firsts = np.arange(v, min(hi - size, v + max_rows - 1) + 1)
+        if tails.shape[1]:
+            tails = tails[np.searchsorted(tails[:, 0], v, side="right"):]
+        block = _prepend(firsts, tails, max_rows, prefix)
+        yield block
+        v = int(block[-1, len(prefix)]) + 1
+
+
 def exhaustive_best_threshold(h: AngleHistogram, k: int,
                               w: ObjectiveWeights) -> tuple[ThresholdSet, float]:
     """Global maximizer of the composite objective by full enumeration.
 
     Ties resolve to the lexicographically smallest threshold set. Guarded
     against combinatorial blowup; intended for oracle use at small bin
-    counts.
+    counts. The candidates are scored in lexicographic blocks of at most
+    `EXHAUSTIVE_BLOCK` rows.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -247,17 +311,13 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
         )
     best_val = -math.inf
     best_t: tuple[int, ...] | None = None
-    combos = itertools.combinations(range(1, h.bin_count), k - 1)
-    while True:
-        chunk = list(itertools.islice(combos, 65536))
-        if not chunk:
-            break
-        vals = evaluate_threshold_sets(h, np.array(chunk, dtype=np.int64), w)
+    for block in _combination_blocks(1, h.bin_count, k - 1, EXHAUSTIVE_BLOCK):
+        vals = evaluate_threshold_sets(h, block, w)
         i = int(np.argmax(vals))
         # strict improvement keeps the first (lexicographically smallest) maximizer
         if vals[i] > best_val:
             best_val = float(vals[i])
-            best_t = chunk[i]
+            best_t = tuple(block[i].tolist())
     assert best_t is not None
     return ThresholdSet(best_t, k), best_val
 

@@ -83,16 +83,17 @@ class CostTerms:
     `labels[i]` is node i's cluster in 0..k-1, or -1 outside every cluster.
     The alive nodes stay the same until the next clustering, because every
     death triggers one. Holds the alive ids; the alive nodes outside every
-    cluster, which send straight to the sink, with their sink distances; the
-    clustered nodes in id order with their labels; and the non-empty
-    clusters with their sizes and the aggregation cost of their heads.
+    cluster, which send straight to the sink, with their costs, taken from
+    `sink_tx` (each node's cost of a packet to the sink); the clustered
+    nodes in id order with their labels; and the non-empty clusters with
+    their sizes and the aggregation cost of their heads.
     """
 
     def __init__(self, labels: np.ndarray, alive: np.ndarray, k: int,
-                 d_bs: np.ndarray, radio: RadioParams) -> None:
+                 sink_tx: np.ndarray, radio: RadioParams) -> None:
         self.alive_ids = np.flatnonzero(alive)
         self.direct = self.alive_ids[labels[self.alive_ids] < 0]
-        self.direct_d = d_bs[self.direct]
+        self.direct_tx = sink_tx[self.direct]
         self.members = np.flatnonzero(labels >= 0)
         self.member_labels = labels[self.members]
         self.k = k
@@ -171,9 +172,16 @@ class Simulation:
         fixes the costing terms until the next clustering."""
         self.labels[:] = -1
         self.labels[self.alive] = labels
-        self._costs = CostTerms(self.labels, self.alive, k, self.d_bs, self.config.radio)
+        self._costs = CostTerms(self.labels, self.alive, k, self._sink_tx, self.config.radio)
         self.last_clustered_alive = self._costs.alive_ids.size
         self.clustering_events += 1
+
+    @functools.cached_property
+    def _sink_tx(self) -> np.ndarray:
+        """Every node's cost of one packet straight to the sink. `d_bs` never
+        changes, so this is priced once, at the first clustering."""
+        radio = self.config.radio
+        return tx_energy(radio, radio.packet_bits, self.d_bs)
 
     @functools.cached_property
     def assignment(self) -> ClusterAssignment:
@@ -212,7 +220,8 @@ class Simulation:
         Clustered nodes send to their cluster's head, which fuses the
         readings and forwards one packet to the sink; alive nodes outside
         every cluster (after an election without heads) send straight to
-        the sink. One `tx_energy` call prices every link of the round.
+        the sink. One `tx_energy` call prices the round's member links; the
+        sink links come from `_sink_tx`.
         """
         radio = self.config.radio
         terms = self._costs
@@ -222,22 +231,17 @@ class Simulation:
         senders, to = members[sends], to[sends]
         head_ids = self.heads[terms.served]
         received = np.bincount(terms.member_labels[sends], minlength=terms.k)[terms.served]
-        tx = tx_energy(radio, radio.packet_bits, np.concatenate((
-            terms.direct_d,
-            np.hypot(self.x[senders] - self.x[to], self.y[senders] - self.y[to]),
-            self.d_bs[head_ids])))
-        first_head = tx.size - head_ids.size
         cost = np.zeros(self.config.node_count)
-        cost[terms.direct] = tx[:terms.direct.size]
-        cost[senders] = tx[terms.direct.size:first_head]
-        cost[head_ids] += self._rx_sums[received] + terms.aggregation + tx[first_head:]
+        cost[terms.direct] = terms.direct_tx
+        cost[senders] = tx_energy(radio, radio.packet_bits, np.hypot(
+            self.x[senders] - self.x[to], self.y[senders] - self.y[to]))
+        cost[head_ids] += self._rx_sums[received] + terms.aggregation + self._sink_tx[head_ids]
 
         alive = terms.alive_ids
         before = self.energy[alive]
+        head_before = self.energy[head_ids]
         after = np.maximum(0.0, before - cost[alive])
         spent_alive = before - after  # exact by construction
-        spent = np.zeros(self.config.node_count)
-        spent[alive] = spent_alive
         self.energy[alive] = after
         dead = alive[after <= 0.0]
         self.alive[dead] = False
@@ -252,7 +256,7 @@ class Simulation:
             # change the last bits
             spent_j=float(np.cumsum(spent_alive)[-1]),
             ch_count=head_ids.size,
-            per_ch_energy_j=tuple(spent[head_ids].tolist()),
+            per_ch_energy_j=tuple((head_before - self.energy[head_ids]).tolist()),
             member_counts=terms.member_counts,
             dead_node_ids=tuple(dead.tolist()),
         )

@@ -150,9 +150,19 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
     """Sampling estimate of the mean squared member-to-head distance over the
     triangular wedge {0 <= x <= R, |y| <= x tan(pi/k)}, uniform density."""
     tan_half = math.tan(math.pi / k)
-    x = radius_m * np.sqrt(rng.random(samples))
-    y = rng.uniform(-1.0, 1.0, samples) * x * tan_half
-    return float(np.mean((x - d_ch) ** 2 + y ** 2))
+    # radius_m * sqrt(u) and uniform(-1, 1) * x * tan_half, then
+    # (x - d_ch)**2 + y**2, each step in place in the two sample buffers
+    x = rng.random(samples)
+    np.sqrt(x, out=x)
+    x *= radius_m
+    y = rng.uniform(-1.0, 1.0, samples)
+    y *= x
+    y *= tan_half
+    x -= d_ch
+    np.square(x, out=x)
+    np.square(y, out=y)
+    x += y
+    return float(np.mean(x))
 
 
 def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float,

@@ -6,9 +6,11 @@ round 1 of a simulation against `sim.nodes` and `sim.assignment` (a view of
 to the program takes away something it uses.
 """
 
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eerpms
@@ -65,6 +67,22 @@ def test_traced_eerpms_counts_every_objective_call():
     assert tr.counts["otsu.evaluate_threshold_sets.rows"] >= \
         calls["bat.optimize_thresholds"] * bp.population * (bp.max_iterations + 1) > 0
     assert self_s["otsu.evaluate_threshold_sets"] > 0.0
+
+
+@pytest.mark.parametrize("bins, k", [(36, 2), (36, 4), (36, 6), (12, 12), (40, 3)])
+def test_traced_exhaustive_search_counts_every_row(bins, k):
+    # the oracle's per-layer row metric reads spans on `otsu.evaluate_threshold_sets`;
+    # an exhaustive search that scored its sets by another name would read as no rows
+    h = eerpms.AngleHistogram(np.random.default_rng(bins + k).integers(0, 5, size=bins) + 1)
+    tr = tracer.Tracer()
+    uninstall = tr.install(eerpms)
+    try:
+        eerpms.otsu.exhaustive_best_threshold(h, k, eerpms.ObjectiveWeights())
+    finally:
+        uninstall()
+    calls, _, _ = tr.totals()
+    assert calls["otsu.exhaustive_best_threshold"] == 1
+    assert tr.counts["otsu.evaluate_threshold_sets.rows"] == math.comb(bins - 1, k - 1)
 
 
 def test_traced_crpfcm_counts_every_fcm_call():

@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,44 @@ class TestSimulate:
         assert "finite" in err
         assert out == ""
         assert not out_dir.exists()
+
+
+# accepted before, though the model cannot compute them: each exited 2 or ran
+# on float-to-int casts that overflow
+UNCOMPUTABLE = [
+    ("[bat]\ns_max = 1e15\n", "below 2**52"),
+    ("[bat]\ns_max = 1e300\n", "below 2**52"),
+    ("[bat]\nloudness = 1e19\n", "below 2**52"),
+    ("[network]\nradius_m = 1e300\n", "link across the field"),
+    (f"[radio]\npacket_bits = {10 ** 23}\n", "fit a 64-bit integer"),
+    ("[network]\ninitial_energy_j = 1e308\n", "initial_energy_j must be finite"),
+]
+UNCOMPUTABLE_IDS = ["s_max-1e15", "s_max-1e300", "loudness-1e19", "radius-1e300",
+                    "packet_bits-1e23", "energy-1e308"]
+
+
+class TestUncomputableConfig:
+    @pytest.mark.parametrize("text, message", UNCOMPUTABLE, ids=UNCOMPUTABLE_IDS)
+    def test_is_config_error(self, capsys, tmp_path, text, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--max-rounds", "5", "--out", str(out_dir))
+        assert code == 1
+        assert message in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_large_but_exact_s_max_runs_without_warning(self, capsys, tmp_path):
+        config = tmp_path / "fast.ini"
+        config.write_text("[bat]\ns_max = 1e6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                                   "--max-rounds", "5", "--out", str(tmp_path))
+        assert code == 0, err
+        assert (tmp_path / "rounds_EERPMS_seed1.csv").is_file()
 
 
 class TestSweep:

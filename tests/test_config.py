@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from eerpms import ConfigError, NetworkConfig, Protocol, load_experiment_spec, \
-    load_network_config
+from eerpms import BatParams, ConfigError, NetworkConfig, Protocol, RadioParams, \
+    load_experiment_spec, load_network_config
 from eerpms.config import INI_KEYS, read_ini
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
@@ -146,3 +146,22 @@ def test_overrides_round_trip():
     assert config.seed == 9
     assert config.protocol is Protocol.CRPFCM
     assert config.node_count == NetworkConfig().node_count
+
+
+def test_computable_bounds_are_per_product():
+    # each bound is on a product, so one factor may be large where the other is small
+    NetworkConfig(node_count=2, radio=RadioParams(packet_bits=2 ** 62 - 1))
+    with pytest.raises(ConfigError, match="packet_bits"):
+        NetworkConfig(node_count=3, radio=RadioParams(packet_bits=2 ** 62 - 1))
+    NetworkConfig(node_count=1, initial_energy_j=1e308)
+    with pytest.raises(ConfigError, match="initial_energy_j"):
+        NetworkConfig(node_count=2, initial_energy_j=1e308)
+    bins = NetworkConfig().bin_count
+    NetworkConfig(bat=BatParams(max_iterations=1, s_max=2.0 ** 52 / bins - 1))
+    with pytest.raises(ConfigError, match="s_max"):
+        NetworkConfig(bat=BatParams(max_iterations=1, s_max=2.0 ** 52 / bins))
+    with pytest.raises(ConfigError, match="s_min"):   # |s_min| counts as well
+        NetworkConfig(bat=BatParams(s_min=-1e15))
+    NetworkConfig(radius_m=1e70)
+    with pytest.raises(ConfigError, match="radius_m"):
+        NetworkConfig(radius_m=1e77)  # (2R)**4 overflows in the multipath branch

@@ -1,6 +1,7 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eerpms import (
@@ -14,7 +15,8 @@ from eerpms import (
 )
 from eerpms import experiments
 from eerpms.experiments import ROUND_CSV_HEADER, write_rounds_csv
-from eerpms.simulation import LifetimeSummary, run_simulation
+from eerpms.simulation import LifetimeSummary, deploy, run_simulation
+from eerpms.theory import AreaSpec
 
 
 def small_spec(tmp_path, **kwargs):
@@ -134,6 +136,30 @@ class TestRunExperiment:
             small_spec(tmp_path, sweep_axis="nodes")
         with pytest.raises(ConfigError):
             small_spec(tmp_path, sweep_axis="omega1")
+
+
+class TestSimulatedEnergyGrid:
+    @pytest.mark.parametrize("radius, n, k_values, d_values, seeds", [
+        (150.0, 100, range(1, 31), [10.0 * i for i in range(16)], [1, 2, 3]),
+        (300.0, 40, [1, 7, 64], [0.0, 0.1, 87.7, 87.8, 299.9], [9]),
+        (20.0, 1, [2], [5.0], [4, 5]),
+    ], ids=["operating-point", "multipath", "one-node"])
+    def test_equals_cell_by_cell_loop(self, radius, n, k_values, d_values, seeds):
+        # every distance of a deployment at once, against one
+        # forced_round_energy call per cell and deployment, bit for bit
+        area = AreaSpec(radius, n)
+        radio = NetworkConfig().radio
+        deployments = [(np.array([p.x for p in nodes]), np.array([p.y for p in nodes]))
+                       for nodes in (deploy(area, s) for s in seeds)]
+        expected = []
+        for k in k_values:
+            for d in d_values:
+                total = 0.0
+                for xs, ys in deployments:
+                    total += experiments.forced_round_energy(xs, ys, radio, k, d)
+                expected.append((k, d, total / len(deployments)))
+        assert experiments.simulated_energy_grid(area, radio, k_values, d_values,
+                                                 seeds) == expected
 
 
 class TestSummaries:

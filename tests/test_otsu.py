@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from eerpms import (
     objective_f1,
     segment_stats,
 )
+from eerpms import otsu
 from eerpms.simulation import deploy
 from eerpms.theory import AreaSpec
 
@@ -320,6 +322,89 @@ class TestExhaustiveSearch:
         ref_t, ref_v = brute_force_best(h, k, HALF)
         assert v == pytest.approx(ref_v, rel=1e-12)
         assert t.thresholds == ref_t
+
+
+def row_by_row_best(h, k, w):
+    """The exhaustive optimum by scoring each `itertools.combinations` row on
+    its own; ties keep the first maximizer."""
+    if k == 1:
+        return (), objective_f1(h, ThresholdSet((), 1), w)
+    best_t, best_v = None, -math.inf
+    for combo in itertools.combinations(range(1, h.bin_count), k - 1):
+        v = float(evaluate_threshold_sets(h, np.array([combo]), w)[0])
+        if v > best_v:
+            best_t, best_v = combo, v
+    return best_t, best_v
+
+
+ROW_BY_ROW_BUDGET = 3000  # combinations the plain reference scores per example
+
+
+class TestExhaustiveBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), bins=st.integers(2, 40),
+           shape=st.sampled_from(["random", "sparse", "single", "flat"]))
+    def test_matches_row_by_row_reference(self, data, bins, shape):
+        if shape == "random":
+            counts = data.draw(st.lists(st.integers(0, 9), min_size=bins, max_size=bins))
+        elif shape == "sparse":   # mostly empty bins: equal ranks tie many sets
+            counts = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 4]),
+                                        min_size=bins, max_size=bins))
+        else:                     # one occupied bin, or every bin alike: all ties
+            counts = [0] * bins if shape == "single" else [3] * bins
+        if sum(counts) == 0:
+            counts[data.draw(st.integers(0, bins - 1))] += 2
+        h = AngleHistogram(counts)
+        ks = [k for k in range(1, bins + 1)
+              if math.comb(bins - 1, k - 1) <= ROW_BY_ROW_BUDGET]
+        k = data.draw(st.sampled_from(ks))
+        w = data.draw(st.sampled_from([HALF, ObjectiveWeights(1.0, 0.0),
+                                       ObjectiveWeights(0.2, 0.8)]))
+        # small blocks split the sets as larger cases are split at the
+        # full block size: ties and first values cross block boundaries
+        block = data.draw(st.sampled_from([1, 2, 7, 64, otsu.EXHAUSTIVE_BLOCK]))
+        with mock.patch.object(otsu, "EXHAUSTIVE_BLOCK", block):
+            t, v = exhaustive_best_threshold(h, k, w)
+        ref_t, ref_v = row_by_row_best(h, k, w)
+        assert t.thresholds == ref_t
+        assert v == ref_v
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_scores_every_set_once_in_lexicographic_order(self, monkeypatch, block):
+        scored = []
+
+        def record(h, tmat, w):
+            scored.append(tmat.tolist())
+            return np.zeros(len(tmat))
+
+        monkeypatch.setattr(otsu, "evaluate_threshold_sets", record)
+        monkeypatch.setattr(otsu, "EXHAUSTIVE_BLOCK", block)
+        for bins in range(2, 13):
+            h = AngleHistogram(np.ones(bins, dtype=int))
+            for k in range(2, bins + 1):
+                scored.clear()
+                exhaustive_best_threshold(h, k, HALF)
+                assert max(len(rows) for rows in scored) <= block
+                assert [tuple(row) for rows in scored for row in rows] == \
+                    list(itertools.combinations(range(1, bins), k - 1))
+
+    def test_blocks_stay_small_where_k_is_near_the_bin_count(self, monkeypatch):
+        # at 36 bins and k = 30 a table of every (k-2)-combination would hold
+        # 6.7 M rows; each scoring call must stay within EXHAUSTIVE_BLOCK rows
+        calls = []
+
+        def record(h, tmat, w):
+            calls.append((len(tmat), tuple(tmat[0].tolist()), tuple(tmat[-1].tolist())))
+            return np.zeros(len(tmat))
+
+        monkeypatch.setattr(otsu, "evaluate_threshold_sets", record)
+        t, v = exhaustive_best_threshold(AngleHistogram(np.ones(36, dtype=int)), 30, HALF)
+        assert max(rows for rows, _, _ in calls) <= otsu.EXHAUSTIVE_BLOCK == 65536
+        assert sum(rows for rows, _, _ in calls) == math.comb(35, 29)
+        assert calls[0][1] == tuple(range(1, 30)) and calls[-1][2] == tuple(range(7, 36))
+        for (_, _, last), (_, first, _) in itertools.pairwise(calls):
+            assert last < first  # blocks follow one another in lexicographic order
+        assert t.thresholds == tuple(range(1, 30)) and v == 0.0  # all tie: the first wins
 
 
 class TestMaterializeClusters:

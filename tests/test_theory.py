@@ -123,6 +123,17 @@ class TestExpectedSqMemberDistance:
                 sampled = wedge_sq_distance_mc(area.radius_m, k, d, 400_000, rng)
                 assert abs(closed - sampled) / sampled < tol
 
+    @pytest.mark.parametrize("seed, k, d", [(1, 9, 0.0), (2, 10, 90.0), (3, 12, 135.0),
+                                            (4, 3, 150.0), (5, 40, 12.5)])
+    def test_monte_carlo_equals_allocating_form(self, seed, k, d):
+        # the in-place sampler against the expression it replaced, bit for bit
+        rng = np.random.default_rng(seed)
+        tan_half = math.tan(math.pi / k)
+        x = 150.0 * np.sqrt(rng.random(10_001))
+        y = rng.uniform(-1.0, 1.0, 10_001) * x * tan_half
+        expected = float(np.mean((x - d) ** 2 + y ** 2))
+        assert wedge_sq_distance_mc(150.0, k, d, 10_001, np.random.default_rng(seed)) == expected
+
     def test_domain_validation(self):
         area = AreaSpec(150.0, 100)
         with pytest.raises(ValueError):
