@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # the clip ufunc itself: np.clip wraps it in argument handling
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from .otsu import AngleHistogram, ObjectiveWeights, ThresholdSet, \
     evaluate_threshold_sets, objective_f1
 
@@ -51,30 +56,34 @@ class BatParams:
 
 
 def _repair_in_place(arr: np.ndarray, bin_count: int, ramp: np.ndarray) -> None:
-    """Clamp, sort and deduplicate the rows of an int64 (batch, dim) matrix;
-    `ramp` is `np.arange(dim)`.
+    """Clamp, sort and deduplicate the rows of a float64 (batch, dim) matrix
+    of integers below 2**52 in magnitude; `ramp` is `np.arange(dim)` in
+    float64. Every step is exact on such integers.
 
     Duplicates cascade upward to the nearest free level; if the top fills
     up, the tail is pulled back down from the last valid level.
     """
-    np.maximum(arr, 1, out=arr)
     arr.sort(axis=1)
     # The upward cascade arr[j] = max(arr[j], arr[j-1] + 1) is a running max
     # of arr[j] - j. That running max never falls, so the downward pass from
     # the top, arr[j] = min(arr[j], arr[j+1] - 1) below a last level clamped
     # at bin_count - 1, is one clamp of arr[j] - j at bin_count - dim, which
-    # also makes a clamp of the inputs at bin_count - 1 unnecessary.
+    # also makes a clamp of the inputs at bin_count - 1 unnecessary. The
+    # clamp of the inputs at 1 commutes with the sort, and the running max of
+    # max(arr[j], 1) - j is that of arr[j] - j clamped at 1 (at j = 0, 1 - j
+    # is 1), so it joins the clamp at the top.
     arr -= ramp
     np.maximum.accumulate(arr, axis=1, out=arr)
-    np.minimum(arr, bin_count - arr.shape[1], out=arr)
+    _clip(arr, 1.0, bin_count - arr.shape[1], out=arr)
     arr += ramp
 
 
 def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
-    """`_repair_in_place` on a copy of `raw`, which is left as it was."""
-    arr = np.array(raw, dtype=np.int64)
-    _repair_in_place(arr, bin_count, np.arange(arr.shape[1]))
-    return arr
+    """`_repair_in_place` on a float64 copy of `raw`, which is left as it
+    was; returns int64."""
+    arr = np.array(raw, dtype=np.float64)
+    _repair_in_place(arr, bin_count, np.arange(arr.shape[1], dtype=np.float64))
+    return arr.astype(np.int64)
 
 
 def _split(block: np.ndarray, pop: int, dim: int):
@@ -201,19 +210,22 @@ class BatSwarm:
         pop, dim = self.positions.shape
         bins = self.histogram.bin_count
         freq, walk_draw, steps, accept_draw = _split(block, pop, dim)
-        best = self.best_position
-        ramp = np.arange(dim)
+        # Flights and walks run in float64: positions, best and ramp are
+        # integers below 2**52 (`NetworkConfig` bounds the moves), so every
+        # step is exact; candidates and positions are cast to int64 once.
+        best = self.best_position.astype(np.float64)
+        ramp = np.arange(dim, dtype=np.float64)
 
         # The flights, one iteration at a time against the unchanged best.
-        flights = np.empty((m, pop, dim), dtype=np.int64)
+        flights = np.empty((m, pop, dim))
         velocities = np.empty((m, pop, dim))
-        moved = np.empty((pop, dim))
-        x, v = self.positions, self.velocities
+        x, v = self.positions.astype(np.float64), self.velocities
         for f, velocity, flight in zip(freq, velocities, flights):
-            np.multiply(f, x - best, out=velocity)
+            np.subtract(x, best, out=velocity)
+            velocity *= f
             velocity += v
-            np.add(x, velocity, out=moved)
-            np.ceil(moved, out=flight, casting="unsafe")
+            np.add(x, velocity, out=flight)
+            np.ceil(flight, out=flight)
             _repair_in_place(flight, bins, ramp)
             x, v = flight, velocity
 
@@ -222,18 +234,17 @@ class BatSwarm:
         # never decrease a threshold and the walk would only drift upward.
         walks = steps * (self.loudness.sum() / pop)
         walks += best
-        candidates = np.empty((m * pop, dim), dtype=np.int64)
-        np.rint(walks.reshape(m * pop, dim), out=candidates, casting="unsafe")
-        _repair_in_place(candidates, bins, ramp)
-        candidates = candidates.reshape(m, pop, dim)
+        np.rint(walks, out=walks)
+        _repair_in_place(walks.reshape(m * pop, dim), bins, ramp)
         # a bat's flight where it does not walk
-        np.copyto(candidates, flights, where=(walk_draw <= self.pulse)[:, :, None])
+        np.copyto(walks, flights, where=(walk_draw <= self.pulse)[:, :, None])
+        candidates = walks.astype(np.int64)
         objectives = evaluate_threshold_sets(
             self.histogram, candidates.reshape(m * pop, dim), self.weights).reshape(m, pop)
 
         improving = np.flatnonzero(objectives.max(axis=1) > self.best_objective)
         last = int(improving[0]) if improving.size else m - 1
-        np.copyto(self.positions, flights[last])
+        np.copyto(self.positions, flights[last], casting="unsafe")
         np.copyto(self.velocities, velocities[last])
         self.best_history += [self.best_objective] * last
         if improving.size:

@@ -76,7 +76,13 @@ class NetworkConfig:
     def _check_computable(self) -> None:
         """Reject values the model cannot compute: every sum of energies and
         every cost must stay finite, the per-cluster bit counts must fit
-        int64, and the bat's moves must stay exact integers in float64."""
+        int64, and the bat's moves must stay exact integers in float64. The
+        counts must fit int64 as well, so that every product below is one
+        that float64 can hold."""
+        for name, count in (("node_count", self.node_count), ("bin_count", self.bin_count),
+                            ("bat max_iterations", self.bat.max_iterations)):
+            if count > _INT64_MAX:
+                raise ConfigError(f"{name} must fit a 64-bit integer")
         if not math.isfinite(self.node_count * self.initial_energy_j):
             raise ConfigError("node_count * initial_energy_j must be finite")
         bits = self.radio.packet_bits

@@ -20,7 +20,7 @@ import numpy as np
 #: Maximum number of threshold combinations the exhaustive search will visit.
 EXHAUSTIVE_CAP = 10_000_000
 #: Most threshold sets the exhaustive search scores in one call.
-EXHAUSTIVE_BLOCK = 65_536
+EXHAUSTIVE_BLOCK = 8_192
 
 _TWO_PI = 2.0 * math.pi
 
@@ -209,22 +209,62 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
     if tmat.ndim != 2:
         raise ValueError("expected a 2-D threshold matrix")
     batch, dim = tmat.shape
-    if batch and dim and (tmat[:, 0].min() < 1 or tmat[:, -1].max() >= h.bin_count
-                          or not (tmat[:, 1:] > tmat[:, :-1]).all()):
+    # segment-major from here: one row per threshold, boundary or segment,
+    # one column per threshold set
+    thresholds = np.ascontiguousarray(tmat.T)
+    if batch and dim and (thresholds[0].min() < 1 or thresholds[-1].max() >= h.bin_count
+                          or not (thresholds[1:] > thresholds[:-1]).all()):
         raise ValueError("threshold rows must be strictly increasing "
                          "within [1, bin_count - 1]")
     k = dim + 1
     rank, f1_terms, _ = h.segment_table
     width = rank[-1] + 1
-    ranks = np.empty((batch, k + 1), dtype=np.int64)
-    ranks[:, 0] = 0
-    ranks[:, -1] = rank[-1]
-    ranks[:, 1:-1] = rank[tmat]
-    seg = ranks[:, :-1] * width + ranks[:, 1:]
-    f1 = f1_terms[seg].sum(axis=1)
-    f2 = h.f2_terms(k)[seg].sum(axis=1) / h.total
+    ranks = np.empty((k + 1, batch), dtype=np.int64)
+    ranks[0] = 0
+    ranks[-1] = rank[-1]
+    ranks[1:-1] = rank[thresholds]
+    seg = ranks[:-1] * width
+    seg += ranks[1:]
+    f1 = _sum_segments(f1_terms[seg])
+    f2 = _sum_segments(h.f2_terms(k)[seg]) / h.total
     f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
     return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
+
+
+def _sum_segments(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a (k, batch) array, bit for bit the row sums that
+    `.sum(axis=1)` gives on its C-contiguous transpose.
+
+    numpy sums a contiguous row of k terms pairwise, from +0.0: in order
+    below 8 terms; up to 128 in eight partial sums over strides of 8, folded
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and followed by the rest in
+    order; above 128 as two halves cut at a multiple of 8. This runs the
+    same order on every column at once. +0.0 only turns a -0.0 sum into
+    +0.0, so it may be added after the fold and in each half."""
+    n = len(terms)
+    if n < 8:
+        out = terms[0] + 0.0
+        for row in terms[1:]:
+            out += row
+        return out
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _sum_segments(terms[:half])
+        out += _sum_segments(terms[half:])
+        return out
+    rest = n - n % 8
+    partial = terms[:8]
+    if rest > 8:
+        partial = partial + terms[8:16]
+        for i in range(16, rest, 8):
+            partial += terms[i:i + 8]
+    pairs = partial[0::2] + partial[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    out = quads[0] + quads[1]
+    out += 0.0
+    for row in terms[rest:]:
+        out += row
+    return out
 
 
 def _prepend(firsts: np.ndarray, tail: np.ndarray, max_rows: int,
@@ -265,7 +305,8 @@ def _combination_table(lo: int, hi: int, size: int) -> np.ndarray:
     return table
 
 
-def _combination_blocks(lo: int, hi: int, size: int, max_rows: int, prefix: tuple = ()):
+def _combination_blocks(lo: int, hi: int, size: int, max_rows: int, prefix: tuple = (),
+                        tables: dict | None = None):
     """The `size`-combinations of lo..hi-1 in lexicographic order, each after
     the values of `prefix`, as int64 blocks of at most `max_rows` rows
     (size >= 1).
@@ -273,12 +314,20 @@ def _combination_blocks(lo: int, hi: int, size: int, max_rows: int, prefix: tupl
     A first value with more rows than that joins the prefix of its own
     tail's blocks. Rows per first value fall as it rises, so from the first
     one that fits on, consecutive first values share blocks, all cut from
-    one table of tails."""
+    one table of tails. The first call of each size has the lowest first
+    value that fits, as every later call of that size starts higher, so its
+    table serves them all: the combinations above any higher value are a
+    tail of it. `tables` keeps that one table per size for the whole
+    enumeration."""
+    if tables is None:
+        tables = {}
     v = lo
     while v <= hi - size and math.comb(hi - v - 1, size - 1) > max_rows:
-        yield from _combination_blocks(v + 1, hi, size - 1, max_rows, (*prefix, v))
+        yield from _combination_blocks(v + 1, hi, size - 1, max_rows, (*prefix, v), tables)
         v += 1
-    tails = _combination_table(v + 1, hi, size - 1)
+    tails = tables.get(size)
+    if tails is None:
+        tails = tables[size] = _combination_table(v + 1, hi, size - 1)
     while v <= hi - size:
         firsts = np.arange(v, min(hi - size, v + max_rows - 1) + 1)
         if tails.shape[1]:

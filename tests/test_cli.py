@@ -142,9 +142,14 @@ UNCOMPUTABLE = [
     ("[network]\nradius_m = 1e300\n", "link across the field"),
     (f"[radio]\npacket_bits = {10 ** 23}\n", "fit a 64-bit integer"),
     ("[network]\ninitial_energy_j = 1e308\n", "initial_energy_j must be finite"),
+    # counts beyond float range: a float product of them would overflow
+    (f"[network]\nnode_count = {10 ** 400}\n", "node_count must fit a 64-bit integer"),
+    (f"[clustering]\nbin_count = {10 ** 400}\n", "bin_count must fit a 64-bit integer"),
+    (f"[bat]\nmax_iterations = {10 ** 400}\n", "max_iterations must fit a 64-bit integer"),
 ]
 UNCOMPUTABLE_IDS = ["s_max-1e15", "s_max-1e300", "loudness-1e19", "radius-1e300",
-                    "packet_bits-1e23", "energy-1e308"]
+                    "packet_bits-1e23", "energy-1e308", "node_count-1e400",
+                    "bin_count-1e400", "max_iterations-1e400"]
 
 
 class TestUncomputableConfig:

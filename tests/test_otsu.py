@@ -278,6 +278,30 @@ class TestSegmentTable:
         assert h.segment_table is h.segment_table  # built once per histogram
 
 
+# segment counts on both sides of numpy's pairwise-summation cuts at 8 and 128
+SEGMENT_COUNT_EDGES = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 256, 300]
+
+
+class TestSumSegments:
+    """`otsu._sum_segments` against numpy's own row sums. If a numpy release
+    changes its reduction order, these fail before the goldens do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.one_of(st.sampled_from(SEGMENT_COUNT_EDGES), st.integers(1, 300)),
+           batch=st.integers(0, 64), seed=st.integers(0, 2**31),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_equals_numpy_row_sums(self, k, batch, seed, zeros):
+        rng = np.random.default_rng(seed)
+        # non-negative values from 1e-300 to 1e300, as f1 and f2 terms are
+        terms = rng.uniform(1.0, 10.0, size=(k, batch)) * 10.0 ** rng.integers(
+            -300, 300, size=(k, batch))
+        terms[rng.random((k, batch)) < zeros] = 0.0
+        want = np.add.reduce(terms.T.copy(), axis=1)
+        got = otsu._sum_segments(terms)
+        assert got.shape == want.shape == (batch,)
+        assert (got == want).all()
+
+
 def brute_force_best(h, k, w):
     best_t, best_v = None, -math.inf
     for combo in itertools.combinations(range(1, h.bin_count), k - 1):
@@ -399,12 +423,27 @@ class TestExhaustiveBlocks:
 
         monkeypatch.setattr(otsu, "evaluate_threshold_sets", record)
         t, v = exhaustive_best_threshold(AngleHistogram(np.ones(36, dtype=int)), 30, HALF)
-        assert max(rows for rows, _, _ in calls) <= otsu.EXHAUSTIVE_BLOCK == 65536
+        assert max(rows for rows, _, _ in calls) <= otsu.EXHAUSTIVE_BLOCK == 8192
         assert sum(rows for rows, _, _ in calls) == math.comb(35, 29)
         assert calls[0][1] == tuple(range(1, 30)) and calls[-1][2] == tuple(range(7, 36))
         for (_, _, last), (_, first, _) in itertools.pairwise(calls):
             assert last < first  # blocks follow one another in lexicographic order
         assert t.thresholds == tuple(range(1, 30)) and v == 0.0  # all tie: the first wins
+
+    @pytest.mark.parametrize("bins, k", [(24, 5), (36, 3), (12, 12), (20, 1)])
+    def test_same_optimum_at_every_block_size(self, bins, k):
+        # C(23, 4) = 8 855 sets: two blocks of at most 8 192 rows, one of 65 536
+        rng = np.random.default_rng(bins * k)
+        counts = rng.integers(0, 4, size=bins)
+        counts[0] += 1
+        h = AngleHistogram(counts)
+        results = []
+        for block in (1, 8192, 65536):
+            with mock.patch.object(otsu, "EXHAUSTIVE_BLOCK", block):
+                results.append(exhaustive_best_threshold(h, k, HALF))
+        t, v = results[0]
+        assert type(v) is float
+        assert results[1] == results[2] == (t, v)
 
 
 class TestMaterializeClusters:
