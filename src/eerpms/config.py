@@ -77,9 +77,12 @@ class NetworkConfig:
         """Reject values the model cannot compute: every sum of energies and
         every cost must stay finite, the per-cluster bit counts must fit
         int64, and the bat's moves must stay exact integers in float64. The
-        counts must fit int64 as well, so that every product below is one
-        that float64 can hold."""
+        counts and the seed must fit int64 as well, so that every product
+        below is one that float64 can hold and every array size one that
+        numpy can take."""
         for name, count in (("node_count", self.node_count), ("bin_count", self.bin_count),
+                            ("seed", self.seed), ("k_clusters", self.k_clusters or 0),
+                            ("bat population", self.bat.population),
                             ("bat max_iterations", self.bat.max_iterations)):
             if count > _INT64_MAX:
                 raise ConfigError(f"{name} must fit a 64-bit integer")

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import INI_KEYS, ConfigError, NetworkConfig, network_config, parse_protocol, \
-    read_ini, read_sections
+from .config import _INT64_MAX, INI_KEYS, ConfigError, NetworkConfig, network_config, \
+    parse_protocol, read_ini, read_sections
 from .network import Protocol
 from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .simulation import LifetimeSummary, RoundMetrics, deploy, run_simulation
@@ -47,6 +47,8 @@ class ExperimentSpec:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be non-negative")
+        if max(self.seeds) > _INT64_MAX:
+            raise ConfigError("seeds must fit a 64-bit integer")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep must be one of {SWEEP_AXES}")
         if self.sweep_axis == "node_count" and not self.node_counts:

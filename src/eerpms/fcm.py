@@ -21,12 +21,24 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     (built in `dx`), the new membership and the previous one (the two swap
     each iteration), and the membership powers (again `dx`, which the
     distances no longer need by then); `dy` holds the differences for the
-    stopping test. Row sums stay a contiguous (n, k) reduction along axis 1, and the
-    centre update stays `um.T @ points` over `um.sum(axis=0)`: any other
-    layout would change the summation order and the last bits. The
-    on-centre repair scans for zero distances only when the smallest
-    distance is not at least 1e-24, which leaves out exactly the
-    iterations in which the scan finds nothing.
+    stopping test. Row sums stay a contiguous (n, k) reduction along axis 1.
+    At m = 2 the powers d2 ** -1 and u ** 2 are taken as a reciprocal and a
+    square, which give the bits of numpy's `power` for those exponents and
+    cost less.
+
+    The centre update divides `um.T @ points` by `um.T @ ones`, whose
+    columns are both the membership column sums. numpy's `um.sum(axis=0)`
+    adds the n rows one after another, and a (k, n) x (n, 2) product goes to
+    OpenBLAS's small-matrix kernel while k * n * 2 <= 10**6; that kernel
+    accumulates each output in order with a fused multiply-add, and a
+    product with 1.0 is exact, so both give the same sums bit for bit.
+    Having the numerator's shape, the sums are exact over the same range in
+    which the numerator runs on that kernel; beyond it OpenBLAS blocks the
+    sums and the last bits of the centres may differ. `tests/test_fcm.py`
+    checks the sums over every (n, k) the goldens and the benchmark use.
+    The on-centre repair scans for zero distances only when the smallest
+    distance is not at least 1e-24, which leaves out exactly the iterations
+    in which the scan finds nothing.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -48,6 +60,8 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     px, py = points[:, 0, None], points[:, 1, None]
     dx, dy, membership, previous = (np.empty((n, k)) for _ in range(4))
     rowsum = np.empty((n, 1))
+    ones = np.ones((n, 2))
+    square = fuzziness == 2.0
     first = True
     # on a center d2 is 0 and d2 ** power divides by zero; those rows are
     # overwritten below
@@ -58,7 +72,10 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
             np.multiply(dx, dx, out=dx)
             np.multiply(dy, dy, out=dy)
             d2 = np.add(dx, dy, out=dx)
-            np.power(d2, power, out=membership)
+            if square:
+                np.reciprocal(d2, out=membership)
+            else:
+                np.power(d2, power, out=membership)
             np.add.reduce(membership, axis=1, keepdims=True, out=rowsum)
             np.divide(membership, rowsum, out=membership)
             # points sitting exactly on a center belong to it outright; a NaN
@@ -76,8 +93,11 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
                 if np.abs(dy, out=dy).max() < tol:
                     break
             first = False
-            um = np.power(membership, fuzziness, out=dx)
-            centers = (um.T @ points) / um.sum(axis=0)[:, None]
+            if square:
+                um = np.multiply(membership, membership, out=dx)
+            else:
+                um = np.power(membership, fuzziness, out=dx)
+            centers = (um.T @ points) / (um.T @ ones)
             membership, previous = previous, membership
         else:
             membership = previous

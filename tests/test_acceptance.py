@@ -3,6 +3,8 @@
 One test per criterion; each prints a single PASS/FAIL line (run with
 `pytest tests/test_acceptance.py -v -s` to see them as they complete).
 The heavyweight comparative runs are shared through session fixtures.
+Criterion 8 and the users of the 60-run `lifetime_runs` fixture are marked
+`slow`; `pytest -m "not slow"` leaves them out.
 """
 
 import itertools
@@ -207,6 +209,7 @@ def test_criterion_5_sector_coverage():
     assert total_violations == 0
 
 
+@pytest.mark.slow
 def test_criterion_6_conservation_and_determinism(lifetime_runs, tmp_path):
     worst_rel = 0.0
     initial = AREA.node_count * 0.5
@@ -237,6 +240,7 @@ def test_criterion_6_conservation_and_determinism(lifetime_runs, tmp_path):
     assert identical
 
 
+@pytest.mark.slow
 def test_criterion_7_comparative_lifetime(lifetime_runs):
     med = {p: np.median([lifetime_runs[(p, s)].lifetime.fdn_round for s in SEEDS])
            for p in Protocol}
@@ -283,6 +287,7 @@ def test_criterion_7_comparative_lifetime(lifetime_runs):
         f"residual@800 wins: RLEACH {beats_rleach}/20, CRPFCM {beats_crpfcm}/20")
 
 
+@pytest.mark.slow
 def test_criterion_8_weight_sweep_trends():
     omegas = [0.0, 0.25, 0.5, 0.75, 1.0]
     mean_fdn, mean_ldn = [], []
@@ -307,6 +312,7 @@ def test_criterion_8_weight_sweep_trends():
     assert rho_ldn < 0
 
 
+@pytest.mark.slow
 def test_criterion_9_cluster_count_stability(lifetime_runs):
     stable = True
     for protocol in (Protocol.EERPMS, Protocol.CRPFCM):

@@ -146,10 +146,15 @@ UNCOMPUTABLE = [
     (f"[network]\nnode_count = {10 ** 400}\n", "node_count must fit a 64-bit integer"),
     (f"[clustering]\nbin_count = {10 ** 400}\n", "bin_count must fit a 64-bit integer"),
     (f"[bat]\nmax_iterations = {10 ** 400}\n", "max_iterations must fit a 64-bit integer"),
+    # each exited 2: an array dimension, a float division and a file name too large
+    (f"[bat]\npopulation = {10 ** 400}\n", "population must fit a 64-bit integer"),
+    (f"[clustering]\nk_clusters = {10 ** 400}\n", "k_clusters must fit a 64-bit integer"),
+    (f"[network]\nseed = {10 ** 400}\n", "seed must fit a 64-bit integer"),
 ]
 UNCOMPUTABLE_IDS = ["s_max-1e15", "s_max-1e300", "loudness-1e19", "radius-1e300",
                     "packet_bits-1e23", "energy-1e308", "node_count-1e400",
-                    "bin_count-1e400", "max_iterations-1e400"]
+                    "bin_count-1e400", "max_iterations-1e400", "population-1e400",
+                    "k_clusters-1e400", "seed-1e400"]
 
 
 class TestUncomputableConfig:
@@ -217,7 +222,9 @@ class TestSweep:
          "d_values must be non-negative and finite"),
         ("sweep = k_dch_grid\nk_values = 10\nd_values = nan\n",
          "d_values must be non-negative and finite"),
-    ] + BAD_CELLS, ids=["no-seeds", "k-zero", "d-negative", "d-nan", *BAD_CELL_IDS])
+        (f"seeds = 1, {10 ** 400}\n", "seeds must fit a 64-bit integer"),
+    ] + BAD_CELLS, ids=["no-seeds", "k-zero", "d-negative", "d-nan", "seed-1e400",
+                        *BAD_CELL_IDS])
     def test_invalid_spec_exit_code(self, capsys, tmp_path, body, message):
         spec = tmp_path / "exp.ini"
         spec.write_text("[experiment]\n" + body)

@@ -184,13 +184,16 @@ def test_matches_allocating_loop_bitwise():
     on_center_late = []
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(2, 1000), k=st.integers(2, 12), duplicated=st.booleans(),
+    @given(n=st.integers(2, 1000), k=st.integers(2, 40), duplicated=st.booleans(),
            seed=st.integers(0, 2**31), fuzziness=st.sampled_from([1.5, 2.0, 3.0]),
            max_iter=st.sampled_from([1, 2, 100]), tol=st.sampled_from([1e-5, 0.0]))
     # copies of 3 distinct points, where points still sit on centres after
     # the first update
     @example(n=1000, k=3, duplicated=True, seed=100_001, fuzziness=2.0, max_iter=100,
              tol=1e-5)
+    # the CRPFCM call at N = 1000 (the m = 2 path), and the generic power
+    @example(n=1000, k=10, duplicated=False, seed=1, fuzziness=2.0, max_iter=100, tol=1e-5)
+    @example(n=1000, k=10, duplicated=False, seed=1, fuzziness=3.0, max_iter=100, tol=1e-5)
     def check(n, k, duplicated, seed, fuzziness, max_iter, tol):
         k = min(k, n)
         points = disk_points(np.random.default_rng(seed), n, k, duplicated)
@@ -206,3 +209,33 @@ def test_matches_allocating_loop_bitwise():
 
     check()
     assert any(on_center_late)  # the on-centre repair ran past the first iteration
+
+
+def test_blas_column_sums_match_numpy():
+    """The centre update of `fuzzy_c_means` is exact only because the BLAS
+    behind numpy adds the n terms of each (k, n) x (n, 2) output in order, as
+    OpenBLAS's small-matrix DGEMM kernel does for k * n * 2 <= 10**6. Check
+    it over every (n, k) the simulations, goldens and benchmark use: n up to
+    1000 with k up to 40, and k = 360 at n = 1000."""
+    rng = np.random.default_rng(0)
+    ones = np.ones((1000, 2))
+    shapes, differ = [], []
+    for k in [*range(2, 41), 360]:
+        # squared memberships spread over many binades, so that a sum taken
+        # in another order shows in its last bits; the first n rows of this
+        # C-contiguous block are the (n, k) buffer of a call on n points
+        block = rng.random((1000, k)) ** 8
+        for n in range(k, 1001) if k <= 40 else [1000]:
+            um = block[:n]
+            sums = um.T @ ones[:n]
+            shapes.append((n, k))
+            if not (np.array_equal(sums[:, 0], um.sum(axis=0))
+                    and np.array_equal(sums[:, 1], sums[:, 0])):
+                differ.append((n, k))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert not differ, (
+        f"{len(differ)} of {len(shapes)} (n, k) shapes, first {differ[:5]}: "
+        f"um.T @ ones no longer equals um.sum(axis=0) bit for bit under "
+        f"{blas.get('name')} {blas.get('version')}. fuzzy_c_means relies on "
+        f"OpenBLAS's small-matrix DGEMM kernel accumulating in order; with "
+        f"this BLAS its centres, and every CRPFCM digest, lose their last bits")
