@@ -23,6 +23,10 @@ from .radio import RadioParams, tx_energy
 # indices: their magnitudes must stay among float64's exact integers.
 _EXACT_FLOAT_INT = 2.0 ** 52
 _INT64_MAX = 2 ** 63 - 1
+# The most elements one array of a run may hold: a float64 array of 2**31
+# takes 16 GiB. Every size `NetworkConfig` checks against it stays below
+# 10**6 in the goldens, `configs/` and the benchmark.
+_MAX_ARRAY_ELEMENTS = 2 ** 31
 
 
 class ConfigError(Exception):
@@ -78,14 +82,27 @@ class NetworkConfig:
         every cost must stay finite, the per-cluster bit counts must fit
         int64, and the bat's moves must stay exact integers in float64. The
         counts and the seed must fit int64 as well, so that every product
-        below is one that float64 can hold and every array size one that
-        numpy can take."""
+        below is one that float64 can hold. No array may have more than 2**31
+        elements (16 GiB as float64), so that sizes far beyond any memory
+        are a ConfigError and not a failed allocation."""
         for name, count in (("node_count", self.node_count), ("bin_count", self.bin_count),
                             ("seed", self.seed), ("k_clusters", self.k_clusters or 0),
                             ("bat population", self.bat.population),
                             ("bat max_iterations", self.bat.max_iterations)):
             if count > _INT64_MAX:
                 raise ConfigError(f"{name} must fit a 64-bit integer")
+        # the per-node arrays, the bat's (population, k - 1) arrays with
+        # k <= bin_count, FCM's (n, k) buffers and the (occupied bins + 1)**2
+        # segment table of the threshold objective
+        k = min(self.k_clusters or self.bin_count, self.bin_count)
+        for name, size in (("node_count", self.node_count),
+                           ("bat population * bin_count", self.bat.population * self.bin_count),
+                           ("node_count * min(k_clusters, bin_count)", self.node_count * k),
+                           ("(min(node_count, bin_count) + 1)**2",
+                            (min(self.node_count, self.bin_count) + 1) ** 2)):
+            if size > _MAX_ARRAY_ELEMENTS:
+                raise ConfigError(f"{name} must not exceed 2**31, the most elements "
+                                  f"of one array")
         if not math.isfinite(self.node_count * self.initial_energy_j):
             raise ConfigError("node_count * initial_energy_j must be finite")
         bits = self.radio.packet_bits

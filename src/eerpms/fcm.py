@@ -16,26 +16,32 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
 
     Exactness: each iteration does the floating-point operations of the
     plain allocating loop (kept as a reference in `tests/test_fcm.py`) in
-    the same order, so labels and centers are equal bit for bit. It writes
-    them into (n, k) buffers made once per call: the squared distances
-    (built in `dx`), the new membership and the previous one (the two swap
-    each iteration), and the membership powers (again `dx`, which the
-    distances no longer need by then); `dy` holds the differences for the
-    stopping test. Row sums stay a contiguous (n, k) reduction along axis 1.
-    At m = 2 the powers d2 ** -1 and u ** 2 are taken as a reciprocal and a
-    square, which give the bits of numpy's `power` for those exponents and
-    cost less.
+    the same order, or ones that round to the same bits, so labels and
+    centers are equal bit for bit. It writes them into (n, k) buffers made
+    once per call: the squared distances (built in `dx`), the new membership
+    and the previous one (the two swap each iteration), and the membership
+    powers (again `dx`, which the distances no longer need by then); `dy`
+    holds the differences for the stopping test. Row sums stay a contiguous
+    (n, k) reduction along axis 1. At m = 2 the powers d2 ** -1 and u ** 2
+    are taken as a reciprocal and a square, which give the bits of numpy's
+    `power` for those exponents and cost less.
 
-    The centre update divides `um.T @ points` by `um.T @ ones`, whose
-    columns are both the membership column sums. numpy's `um.sum(axis=0)`
-    adds the n rows one after another, and a (k, n) x (n, 2) product goes to
-    OpenBLAS's small-matrix kernel while k * n * 2 <= 10**6; that kernel
-    accumulates each output in order with a fused multiply-add, and a
-    product with 1.0 is exact, so both give the same sums bit for bit.
-    Having the numerator's shape, the sums are exact over the same range in
-    which the numerator runs on that kernel; beyond it OpenBLAS blocks the
-    sums and the last bits of the centres may differ. `tests/test_fcm.py`
-    checks the sums over every (n, k) the goldens and the benchmark use.
+    The point-to-centre differences are the products [x, -1] @ [1, c] (and
+    the same in y). Both terms, x * 1 and -1 * c, are exact, so the sum is
+    rounded once, to the float nearest x - c, whatever BLAS computes it,
+    with or without a fused multiply-add and in either order; at most the
+    sign of a zero differs, and the squaring that follows removes it.
+
+    The centre update takes one product `um.T @ [x, y, 1]` of shape (k, 3)
+    and divides its first two columns by the third, the membership column
+    sums. numpy's `um.T @ points` and `um.sum(axis=0)` add the n rows one
+    after another, and OpenBLAS sends a (k, n) x (n, 3) product to its
+    small-matrix kernel while k * n * 3 <= 10**6 (n <= 33 333 at k = 10);
+    that kernel accumulates each output in order with a fused multiply-add,
+    and a product with 1.0 is exact, so all three columns are the same sums
+    bit for bit. Beyond that range OpenBLAS blocks the sums and the last
+    bits of the centres may differ. `tests/test_fcm.py` checks both
+    products over every (n, k) the goldens and the benchmark use.
     The on-centre repair scans for zero distances only when the smallest
     distance is not at least 1e-24, which leaves out exactly the iterations
     in which the scan finds nothing.
@@ -53,22 +59,30 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     if max_iter < 1:
         raise ValueError("need max_iter >= 1")
 
-    centers = points[rng.choice(n, size=k, replace=False)].copy()
     # u_ij = d_ij^-p / sum_l d_il^-p with p = 2/(m-1): O(nk) per iteration,
     # and on squared distances it is d2 ** (-1/(m-1)), with no sqrt.
     power = -1.0 / (fuzziness - 1.0)
-    px, py = points[:, 0, None], points[:, 1, None]
+    # x - c as [x, -1] @ [1, c]: a[0] = [x, -1] and a[1] = [y, -1] are
+    # (n, 2); b[0] and b[1] are (2, k) with rows [1 ... 1] and the centres'
+    # x (resp. y), so that `centers` is a (2, k) view into b
+    a = np.full((2, n, 2), -1.0)
+    a[:, :, 0] = points.T
+    b = np.ones((2, 2, k))
+    centers = b[:, 1]
+    centers[:] = points[rng.choice(n, size=k, replace=False)].T
+    xy1 = np.ones((n, 3))
+    xy1[:, :2] = points
+    sums = np.empty((k, 3))
     dx, dy, membership, previous = (np.empty((n, k)) for _ in range(4))
     rowsum = np.empty((n, 1))
-    ones = np.ones((n, 2))
     square = fuzziness == 2.0
     first = True
     # on a center d2 is 0 and d2 ** power divides by zero; those rows are
     # overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            np.subtract(px, centers[:, 0], out=dx)
-            np.subtract(py, centers[:, 1], out=dy)
+            np.matmul(a[0], b[0], out=dx)
+            np.matmul(a[1], b[1], out=dy)
             np.multiply(dx, dx, out=dx)
             np.multiply(dy, dy, out=dy)
             d2 = np.add(dx, dy, out=dx)
@@ -97,9 +111,10 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
                 um = np.multiply(membership, membership, out=dx)
             else:
                 um = np.power(membership, fuzziness, out=dx)
-            centers = (um.T @ points) / (um.T @ ones)
+            np.matmul(um.T, xy1, out=sums)
+            np.divide(sums[:, :2].T, sums[:, 2], out=centers)
             membership, previous = previous, membership
         else:
             membership = previous
     labels = np.argmax(membership, axis=1).astype(np.int64)
-    return labels, centers
+    return labels, centers.T.copy()

@@ -150,11 +150,19 @@ UNCOMPUTABLE = [
     (f"[bat]\npopulation = {10 ** 400}\n", "population must fit a 64-bit integer"),
     (f"[clustering]\nk_clusters = {10 ** 400}\n", "k_clusters must fit a 64-bit integer"),
     (f"[network]\nseed = {10 ** 400}\n", "seed must fit a 64-bit integer"),
+    # sizes that fit int64 but no memory; the first two exited 2
+    (f"[bat]\npopulation = {2 ** 63 - 1}\n", "population * bin_count must not exceed 2**31"),
+    (f"[network]\nnode_count = {2 ** 40}\n", "node_count must not exceed 2**31"),
+    (f"[network]\nnode_count = {10 ** 8}\n[clustering]\nk_clusters = 100\n",
+     "node_count * min(k_clusters, bin_count) must not exceed 2**31"),
+    (f"[network]\nnode_count = {10 ** 5}\n[clustering]\nbin_count = {10 ** 5}\n",
+     "(min(node_count, bin_count) + 1)**2 must not exceed 2**31"),
 ]
 UNCOMPUTABLE_IDS = ["s_max-1e15", "s_max-1e300", "loudness-1e19", "radius-1e300",
                     "packet_bits-1e23", "energy-1e308", "node_count-1e400",
                     "bin_count-1e400", "max_iterations-1e400", "population-1e400",
-                    "k_clusters-1e400", "seed-1e400"]
+                    "k_clusters-1e400", "seed-1e400", "population-int64-max",
+                    "node_count-2e40", "fcm-buffers-1e10", "segment-table-1e10"]
 
 
 class TestUncomputableConfig:
