@@ -18,6 +18,7 @@ import numpy as np
 from .bat import BatParams
 from .network import Protocol
 from .radio import RadioParams, tx_energy
+from .theory import AreaSpec, optimal_cluster_count
 
 # Bat flights and walks are computed in float64 and cast to int64 bin
 # indices: their magnitudes must stay among float64's exact integers.
@@ -91,18 +92,20 @@ class NetworkConfig:
                             ("bat max_iterations", self.bat.max_iterations)):
             if count > _INT64_MAX:
                 raise ConfigError(f"{name} must fit a 64-bit integer")
-        # the per-node arrays, the bat's (population, k - 1) arrays with
-        # k <= bin_count, FCM's (n, k) buffers and the (occupied bins + 1)**2
-        # segment table of the threshold objective
-        k = min(self.k_clusters or self.bin_count, self.bin_count)
+        # the per-node arrays, the bat's (population, k - 1) arrays, FCM's
+        # (n, k) buffers and the (occupied bins + 1)**2 segment table of the
+        # threshold objective, at the largest k a run clusters into
+        k = min(self.k_clusters or optimal_cluster_count(AreaSpec(self.radius_m, self.node_count)),
+                self.bin_count)
         for name, size in (("node_count", self.node_count),
-                           ("bat population * bin_count", self.bat.population * self.bin_count),
-                           ("node_count * min(k_clusters, bin_count)", self.node_count * k),
+                           ("bat population * k", self.bat.population * k),
+                           ("node_count * k", self.node_count * k),
                            ("(min(node_count, bin_count) + 1)**2",
                             (min(self.node_count, self.bin_count) + 1) ** 2)):
             if size > _MAX_ARRAY_ELEMENTS:
                 raise ConfigError(f"{name} must not exceed 2**31, the most elements "
-                                  f"of one array")
+                                  f"of one array (k: k_clusters, or the auto count at "
+                                  f"node_count; at most bin_count)")
         if not math.isfinite(self.node_count * self.initial_energy_j):
             raise ConfigError("node_count * initial_energy_j must be finite")
         bits = self.radio.packet_bits

@@ -32,16 +32,18 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     with or without a fused multiply-add and in either order; at most the
     sign of a zero differs, and the squaring that follows removes it.
 
-    The centre update takes one product `um.T @ [x, y, 1]` of shape (k, 3)
-    and divides its first two columns by the third, the membership column
-    sums. numpy's `um.T @ points` and `um.sum(axis=0)` add the n rows one
-    after another, and OpenBLAS sends a (k, n) x (n, 3) product to its
-    small-matrix kernel while k * n * 3 <= 10**6 (n <= 33 333 at k = 10);
-    that kernel accumulates each output in order with a fused multiply-add,
-    and a product with 1.0 is exact, so all three columns are the same sums
-    bit for bit. Beyond that range OpenBLAS blocks the sums and the last
-    bits of the centres may differ. `tests/test_fcm.py` checks both
-    products over every (n, k) the goldens and the benchmark use.
+    The centre update divides `um.T @ points` by `um.T @ ones`, with ones of
+    shape (n, 2), straight into the centre rows of the difference products.
+    numpy's `um.sum(axis=0)` adds the n rows one after another, and OpenBLAS
+    sends a (k, n) x (n, 2) product to its small-matrix kernel while
+    k * n * 2 <= 10**6 (n <= 50 000 at k = 10, n <= 1 388 at k = 360); that
+    kernel accumulates each output in order with a fused multiply-add, and a
+    product with 1.0 is exact, so the divisor is the plain column sums bit
+    for bit. Beyond that range OpenBLAS blocks the sums and the last bits of
+    the centres may differ. The kernel is chosen at run time by CPU, so the
+    range holds where OpenBLAS takes it (it was measured on an AVX-512 x86
+    CPU). `tests/test_fcm.py` checks it over every (n, k) the goldens and
+    the benchmark use.
     The on-centre repair scans for zero distances only when the smallest
     distance is not at least 1e-24, which leaves out exactly the iterations
     in which the scan finds nothing.
@@ -70,9 +72,8 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     b = np.ones((2, 2, k))
     centers = b[:, 1]
     centers[:] = points[rng.choice(n, size=k, replace=False)].T
-    xy1 = np.ones((n, 3))
-    xy1[:, :2] = points
-    sums = np.empty((k, 3))
+    ones = np.ones((n, 2))
+    weighted, weights = np.empty((k, 2)), np.empty((k, 2))
     dx, dy, membership, previous = (np.empty((n, k)) for _ in range(4))
     rowsum = np.empty((n, 1))
     square = fuzziness == 2.0
@@ -111,8 +112,9 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
                 um = np.multiply(membership, membership, out=dx)
             else:
                 um = np.power(membership, fuzziness, out=dx)
-            np.matmul(um.T, xy1, out=sums)
-            np.divide(sums[:, :2].T, sums[:, 2], out=centers)
+            np.matmul(um.T, points, out=weighted)
+            np.matmul(um.T, ones, out=weights)
+            np.divide(weighted.T, weights.T, out=centers)
             membership, previous = previous, membership
         else:
             membership = previous

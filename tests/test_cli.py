@@ -151,10 +151,10 @@ UNCOMPUTABLE = [
     (f"[clustering]\nk_clusters = {10 ** 400}\n", "k_clusters must fit a 64-bit integer"),
     (f"[network]\nseed = {10 ** 400}\n", "seed must fit a 64-bit integer"),
     # sizes that fit int64 but no memory; the first two exited 2
-    (f"[bat]\npopulation = {2 ** 63 - 1}\n", "population * bin_count must not exceed 2**31"),
+    (f"[bat]\npopulation = {2 ** 63 - 1}\n", "population * k must not exceed 2**31"),
     (f"[network]\nnode_count = {2 ** 40}\n", "node_count must not exceed 2**31"),
     (f"[network]\nnode_count = {10 ** 8}\n[clustering]\nk_clusters = 100\n",
-     "node_count * min(k_clusters, bin_count) must not exceed 2**31"),
+     "node_count * k must not exceed 2**31"),
     (f"[network]\nnode_count = {10 ** 5}\n[clustering]\nbin_count = {10 ** 5}\n",
      "(min(node_count, bin_count) + 1)**2 must not exceed 2**31"),
 ]
@@ -177,6 +177,20 @@ class TestUncomputableConfig:
         assert message in err
         assert out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text", [
+        f"[bat]\npopulation = {10 ** 7}\n",
+        f"[network]\nnode_count = {10 ** 6}\n[clustering]\nk_clusters = auto\n"
+        f"bin_count = 3600\n",
+    ], ids=["population-1e7", "node_count-1e6-auto-k"])
+    def test_large_config_within_array_bound_is_accepted(self, capsys, tmp_path, text):
+        # the array bound counts the k a run reaches, 10 and 195 here, not
+        # bin_count
+        config = tmp_path / "large.ini"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "theory", "--config", str(config))
+        assert code == 0, err
+        assert "K* = " in out
 
     def test_large_but_exact_s_max_runs_without_warning(self, capsys, tmp_path):
         config = tmp_path / "fast.ini"
