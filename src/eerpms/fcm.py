@@ -33,7 +33,8 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     sign of a zero differs, and the squaring that follows removes it.
 
     The centre update divides `um.T @ points` by `um.T @ ones`, with ones of
-    shape (n, 2), straight into the centre rows of the difference products.
+    shape (n, 2), and copies the quotient into the centre rows of the
+    difference products.
     numpy's `um.sum(axis=0)` adds the n rows one after another, and OpenBLAS
     sends a (k, n) x (n, 2) product to its small-matrix kernel while
     k * n * 2 <= 10**6 (n <= 50 000 at k = 10, n <= 1 388 at k = 360); that
@@ -73,7 +74,6 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     centers = b[:, 1]
     centers[:] = points[rng.choice(n, size=k, replace=False)].T
     ones = np.ones((n, 2))
-    weighted, weights = np.empty((k, 2)), np.empty((k, 2))
     dx, dy, membership, previous = (np.empty((n, k)) for _ in range(4))
     rowsum = np.empty((n, 1))
     square = fuzziness == 2.0
@@ -112,9 +112,7 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
                 um = np.multiply(membership, membership, out=dx)
             else:
                 um = np.power(membership, fuzziness, out=dx)
-            np.matmul(um.T, points, out=weighted)
-            np.matmul(um.T, ones, out=weights)
-            np.divide(weighted.T, weights.T, out=centers)
+            centers[:] = ((um.T @ points) / (um.T @ ones)).T
             membership, previous = previous, membership
         else:
             membership = previous
