@@ -34,17 +34,17 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
 
     The centre update divides `um.T @ points` by `um.T @ ones`, with ones of
     shape (n, 2), and copies the quotient into the centre rows of the
-    difference products.
-    numpy's `um.sum(axis=0)` adds the n rows one after another, and OpenBLAS
-    sends a (k, n) x (n, 2) product to its small-matrix kernel while
-    k * n * 2 <= 10**6 (n <= 50 000 at k = 10, n <= 1 388 at k = 360); that
-    kernel accumulates each output in order with a fused multiply-add, and a
-    product with 1.0 is exact, so the divisor is the plain column sums bit
-    for bit. Beyond that range OpenBLAS blocks the sums and the last bits of
-    the centres may differ. The kernel is chosen at run time by CPU, so the
-    range holds where OpenBLAS takes it (it was measured on an AVX-512 x86
-    CPU). `tests/test_fcm.py` checks it over every (n, k) the goldens and
-    the benchmark use.
+    difference products. numpy's `um.sum(axis=0)` adds the n rows one after
+    another, and OpenBLAS's SkylakeX (AVX-512) kernels send a (k, n) x
+    (n, 2) product to a small-matrix kernel while k * n * 2 <= 10**6
+    (n <= 50 000 at k = 10, n <= 1 388 at k = 360); that kernel accumulates
+    each output in order with a fused multiply-add, and a product with 1.0
+    is exact, so the divisor is the plain column sums bit for bit. Beyond
+    that range, or on CPUs where OpenBLAS picks other kernels (its Haswell
+    kernels block the sums from n = 257), the last bits of the centres may
+    differ. `tests/test_fcm.py` checks the sums over every (n, k) the goldens
+    and the benchmark use.
+
     The on-centre repair scans for zero distances only when the smallest
     distance is not at least 1e-24, which leaves out exactly the iterations
     in which the scan finds nothing.
