@@ -22,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from .bat import BatParams, optimize_thresholds
-from .config import ConfigError, NetworkConfig, load_network_config, parse_protocol
+from .config import (
+    _MAX_ARRAY_ELEMENTS,
+    ConfigError,
+    NetworkConfig,
+    load_network_config,
+    parse_protocol,
+)
 from .experiments import (
     _check_writable,
     analytic_energy_grid,
@@ -55,8 +61,9 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_at_least(low: int):
-    """Argument type for an integer of at least `low` (a count or a seed)."""
+def _int_at_least(low: int, high: int | None = None):
+    """Argument type for an integer of at least `low` (a count or a seed),
+    and at most `high` if given."""
     def parse(raw: str) -> int:
         try:
             value = int(raw)
@@ -64,6 +71,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -231,10 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", help="config file for constants")
     p_verify.add_argument("--out", help="output directory for landscape CSVs")
     p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_verify.add_argument("--seeds", type=_int_at_least(1), default=10,
+    # one array holds a value per seed or per sample: at most 2**31 of them
+    p_verify.add_argument("--seeds", type=_int_at_least(1, _MAX_ARRAY_ELEMENTS), default=10,
                           help="deployments for the simulated landscape")
-    p_verify.add_argument("--mc-samples", type=_int_at_least(1), default=1_000_000,
-                          dest="mc_samples")
+    p_verify.add_argument("--mc-samples", type=_int_at_least(1, _MAX_ARRAY_ELEMENTS),
+                          default=1_000_000, dest="mc_samples")
     p_verify.add_argument("--histograms", type=_int_at_least(1), default=50)
     p_verify.set_defaults(func=cmd_verify)
     return parser

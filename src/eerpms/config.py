@@ -34,6 +34,15 @@ class ConfigError(Exception):
     """Invalid configuration file or option values."""
 
 
+def _finite_energy(radio: RadioParams, d: float, packets: int = 1) -> bool:
+    """Whether sending `packets` packets over `d` metres costs a finite energy."""
+    try:
+        with np.errstate(over="ignore"):
+            return math.isfinite(packets * tx_energy(radio, radio.packet_bits, d))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     radius_m: float = 150.0
@@ -111,12 +120,7 @@ class NetworkConfig:
         bits = self.radio.packet_bits
         if self.node_count * bits > _INT64_MAX:
             raise ConfigError("node_count * packet_bits must fit a 64-bit integer")
-        try:
-            with np.errstate(over="ignore"):
-                worst = tx_energy(self.radio, bits, 2.0 * self.radius_m)
-        except OverflowError:
-            worst = math.inf
-        if not math.isfinite(worst):
+        if not _finite_energy(self.radio, 2.0 * self.radius_m):
             raise ConfigError("the energy of a link across the field (2 * radius_m) "
                               "must be finite")
         bat = self.bat

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _INT64_MAX, INI_KEYS, ConfigError, NetworkConfig, network_config, \
-    parse_protocol, read_ini, read_sections
+from .config import _INT64_MAX, _MAX_ARRAY_ELEMENTS, INI_KEYS, ConfigError, NetworkConfig, \
+    _finite_energy, network_config, parse_protocol, read_ini, read_sections
 from .network import Protocol
 from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .simulation import LifetimeSummary, RoundMetrics, deploy, run_simulation
@@ -63,8 +63,16 @@ class ExperimentSpec:
             raise ConfigError("omega1_values must lie in [0, 1]")
         if any(k < 1 for k in self.k_values):
             raise ConfigError("k_values must be at least 1")
+        if any(k > _MAX_ARRAY_ELEMENTS for k in self.k_values):
+            raise ConfigError("k_values must not exceed 2**31, the most elements of one array")
         if not all(d >= 0 and math.isfinite(d) for d in self.d_values):
             raise ConfigError("d_values must be non-negative and finite")
+        # a member transmits over at most d + radius_m to its forced head
+        base = self.base
+        if not all(_finite_energy(base.radio, d + base.radius_m, base.node_count)
+                   for d in self.d_values):
+            raise ConfigError("node_count * the energy of a link over d + radius_m "
+                              "must be finite for every d of d_values")
         if self.sweep_axis != "k_dch_grid" and not self.protocols:
             raise ConfigError("at least one protocol is required")
 

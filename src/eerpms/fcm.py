@@ -6,9 +6,8 @@ import numpy as np
 
 
 def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
-                  fuzziness: float = 2.0, tol: float = 1e-5,
-                  max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster `points` (n, 2) into `k` groups.
+                  tol: float = 1e-5, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster `points` (n, 2) into `k` groups with fuzziness m = 2.
 
     Centers start at k distinct points drawn from the data. Returns
     (labels, centers) with labels[i] = argmax membership of point i.
@@ -22,9 +21,9 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     and the previous one (the two swap each iteration), and the membership
     powers (again `dx`, which the distances no longer need by then); `dy`
     holds the differences for the stopping test. Row sums stay a contiguous
-    (n, k) reduction along axis 1. At m = 2 the powers d2 ** -1 and u ** 2
-    are taken as a reciprocal and a square, which give the bits of numpy's
-    `power` for those exponents and cost less.
+    (n, k) reduction along axis 1. The powers d2 ** -1 and u ** 2 are taken
+    as a reciprocal and a square, which give the bits of numpy's `power` for
+    those exponents and cost less.
 
     The point-to-centre differences are the products [x, -1] @ [1, c] (and
     the same in y). Both terms, x * 1 and -1 * c, are exact, so the sum is
@@ -63,8 +62,7 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
         raise ValueError("need max_iter >= 1")
 
     # u_ij = d_ij^-p / sum_l d_il^-p with p = 2/(m-1): O(nk) per iteration,
-    # and on squared distances it is d2 ** (-1/(m-1)), with no sqrt.
-    power = -1.0 / (fuzziness - 1.0)
+    # and on squared distances at m = 2 it is 1 / d2, with no sqrt.
     # x - c as [x, -1] @ [1, c]: a[0] = [x, -1] and a[1] = [y, -1] are
     # (n, 2); b[0] and b[1] are (2, k) with rows [1 ... 1] and the centres'
     # x (resp. y), so that `centers` is a (2, k) view into b
@@ -76,9 +74,8 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     ones = np.ones((n, 2))
     dx, dy, membership, previous = (np.empty((n, k)) for _ in range(4))
     rowsum = np.empty((n, 1))
-    square = fuzziness == 2.0
     first = True
-    # on a center d2 is 0 and d2 ** power divides by zero; those rows are
+    # on a center d2 is 0 and 1 / d2 divides by zero; those rows are
     # overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
@@ -87,10 +84,7 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
             np.multiply(dx, dx, out=dx)
             np.multiply(dy, dy, out=dy)
             d2 = np.add(dx, dy, out=dx)
-            if square:
-                np.reciprocal(d2, out=membership)
-            else:
-                np.power(d2, power, out=membership)
+            np.reciprocal(d2, out=membership)
             np.add.reduce(membership, axis=1, keepdims=True, out=rowsum)
             np.divide(membership, rowsum, out=membership)
             # points sitting exactly on a center belong to it outright; a NaN
@@ -108,10 +102,7 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
                 if np.abs(dy, out=dy).max() < tol:
                     break
             first = False
-            if square:
-                um = np.multiply(membership, membership, out=dx)
-            else:
-                um = np.power(membership, fuzziness, out=dx)
+            um = np.multiply(membership, membership, out=dx)
             centers[:] = ((um.T @ points) / (um.T @ ones)).T
             membership, previous = previous, membership
         else:

@@ -267,74 +267,30 @@ def _sum_segments(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prepend(firsts: np.ndarray, tail: np.ndarray, max_rows: int,
-             prefix: tuple = ()) -> np.ndarray:
-    """Rows `(*prefix, v, *row)` for each first value v of the increasing run
-    `firsts` and each row of `tail` whose first entry exceeds v, in
-    lexicographic order, for as many leading first values as fit in
-    `max_rows` (one at least).
+def _combination_blocks(hi: int, size: int, max_rows: int):
+    """The `size`-combinations of 1..hi-1 in lexicographic order, as int64
+    blocks of at most `max_rows` rows (size >= 1); each block is the
+    transpose of a C-contiguous (size, rows) array.
 
-    `tail` is the lexicographic table of all m-combinations of v0+1..hi-1,
-    v0 = firsts[0]: the combinations above any v >= v0 are a contiguous
-    tail of it."""
-    if tail.shape[1]:
-        starts = np.searchsorted(tail[:, 0], firsts, side="right")
-    else:
-        starts = np.zeros(firsts.size, dtype=np.int64)
-    counts = len(tail) - starts
-    ends = np.cumsum(counts)
-    used = max(1, int(np.searchsorted(ends, max_rows, side="right")))
-    counts, ends = counts[:used], ends[:used]
-    rows = np.arange(ends[-1]) + np.repeat(starts[:used] - (ends - counts), counts)
-    p = len(prefix)
-    out = np.empty((ends[-1], p + 1 + tail.shape[1]), dtype=np.int64)
-    out[:, :p] = prefix
-    out[:, p] = np.repeat(firsts[:used], counts)
-    out[:, p + 1:] = tail[rows]
-    return out
-
-
-def _combination_table(lo: int, hi: int, size: int) -> np.ndarray:
-    """All `size`-combinations of lo..hi-1, one per row, in lexicographic
-    order; built from the last column forward, and every table on the way
-    is no longer than the result."""
-    table = np.empty((1, 0), dtype=np.int64)
-    for m in range(1, size + 1):
-        firsts = np.arange(lo + size - m, hi - m + 1)
-        table = _prepend(firsts, table, len(table) * firsts.size)
-    return table
-
-
-def _combination_blocks(lo: int, hi: int, size: int, max_rows: int, prefix: tuple = (),
-                        tables: dict | None = None):
-    """The `size`-combinations of lo..hi-1 in lexicographic order, each after
-    the values of `prefix`, as int64 blocks of at most `max_rows` rows
-    (size >= 1).
-
-    A first value with more rows than that joins the prefix of its own
-    tail's blocks. Rows per first value fall as it rises, so from the first
-    one that fits on, consecutive first values share blocks, all cut from
-    one table of tails. The first call of each size has the lowest first
-    value that fits, as every later call of that size starts higher, so its
-    table serves them all: the combinations above any higher value are a
-    tail of it. `tables` keeps that one table per size for the whole
-    enumeration."""
-    if tables is None:
-        tables = {}
-    v = lo
-    while v <= hi - size and math.comb(hi - v - 1, size - 1) > max_rows:
-        yield from _combination_blocks(v + 1, hi, size - 1, max_rows, (*prefix, v), tables)
-        v += 1
-    tails = tables.get(size)
-    if tails is None:
-        tails = tables[size] = _combination_table(v + 1, hi, size - 1)
-    while v <= hi - size:
-        firsts = np.arange(v, min(hi - size, v + max_rows - 1) + 1)
-        if tails.shape[1]:
-            tails = tails[np.searchsorted(tails[:, 0], v, side="right"):]
-        block = _prepend(firsts, tails, max_rows, prefix)
-        yield block
-        v = int(block[-1, len(prefix)]) + 1
+    Each row is decoded from its rank in the combinatorial number system
+    (Knuth, TAOCP 4A, 7.2.1.3). With a = hi - 1 - v for each value v, row r
+    of the `total` rows has reverse rank q = total - 1 - r = sum of
+    C(a_j, m) over its columns, m = size, ..., 1, and each a_j is the
+    largest a with C(a, m) at most the rank left. Every rank is below
+    `total` (at most `EXHAUSTIVE_CAP` in the search), so binomials capped at
+    `total` decode the same and fit int64."""
+    total = math.comb(hi - 1, size)
+    tables = [np.array([min(math.comb(a, m), total) for a in range(hi - 1)], dtype=np.int64)
+              for m in range(size, 1, -1)]
+    for start in range(0, total, max_rows):
+        q = total - 1 - np.arange(start, min(start + max_rows, total), dtype=np.int64)
+        block = np.empty((size, q.size), dtype=np.int64)
+        for column, table in zip(block, tables):
+            a = np.searchsorted(table, q, side="right") - 1
+            q -= table[a]
+            np.subtract(hi - 1, a, out=column)
+        np.subtract(hi - 1, q, out=block[-1])
+        yield block.T
 
 
 def exhaustive_best_threshold(h: AngleHistogram, k: int,
@@ -344,7 +300,9 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
     Ties resolve to the lexicographically smallest threshold set. Guarded
     against combinatorial blowup; intended for oracle use at small bin
     counts. The candidates are scored in lexicographic blocks of at most
-    `EXHAUSTIVE_BLOCK` rows.
+    `EXHAUSTIVE_BLOCK` rows, each decoded from its rows' ranks against
+    binomial tables of (k - 2) x (bin count - 1) entries, so nothing else
+    grows with the number of sets.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -360,7 +318,7 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
         )
     best_val = -math.inf
     best_t: tuple[int, ...] | None = None
-    for block in _combination_blocks(1, h.bin_count, k - 1, EXHAUSTIVE_BLOCK):
+    for block in _combination_blocks(h.bin_count, k - 1, EXHAUSTIVE_BLOCK):
         vals = evaluate_threshold_sets(h, block, w)
         i = int(np.argmax(vals))
         # strict improvement keeps the first (lexicographically smallest) maximizer

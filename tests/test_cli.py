@@ -245,8 +245,15 @@ class TestSweep:
         ("sweep = k_dch_grid\nk_values = 10\nd_values = nan\n",
          "d_values must be non-negative and finite"),
         (f"seeds = 1, {10 ** 400}\n", "seeds must fit a 64-bit integer"),
+        # above the bounds: nothing is allocated or written
+        ("sweep = k_dch_grid\nk_values = 35184372088832\nd_values = 90\n",
+         "k_values must not exceed 2**31"),
+        (f"sweep = k_dch_grid\nk_values = {10 ** 20}\nd_values = 90\n",
+         "k_values must not exceed 2**31"),
+        ("sweep = k_dch_grid\nk_values = 10\nd_values = 90, 1e100\n",
+         "node_count * the energy of a link over d + radius_m must be finite"),
     ] + BAD_CELLS, ids=["no-seeds", "k-zero", "d-negative", "d-nan", "seed-1e400",
-                        *BAD_CELL_IDS])
+                        "k-2e45", "k-1e20", "d-1e100", *BAD_CELL_IDS])
     def test_invalid_spec_exit_code(self, capsys, tmp_path, body, message):
         spec = tmp_path / "exp.ini"
         spec.write_text("[experiment]\n" + body)
@@ -313,6 +320,18 @@ class TestVerify:
         assert f"argument {flag}: must be an integer, got 'abc'" in err
         assert out == ""
 
+
+    @pytest.mark.parametrize("flag, value", [("--mc-samples", 2 ** 45),
+                                             ("--mc-samples", 10 ** 19),
+                                             ("--seeds", 10 ** 30)],
+                             ids=["mc-samples-2e45", "mc-samples-1e19", "seeds-1e30"])
+    def test_count_above_array_bound_is_config_error(self, capsys, tmp_path, flag, value):
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(capsys, "verify", "--out", str(out_dir), flag, str(value))
+        assert code == 1
+        assert f"argument {flag}: must be at most {2 ** 31}, got {value}" in err
+        assert out == ""
+        assert not out_dir.exists()  # rejected before any suite runs or writes
 
     def test_negative_seed_is_config_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path), "--seed", "-1")

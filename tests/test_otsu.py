@@ -445,6 +445,16 @@ class TestExhaustiveBlocks:
         assert type(v) is float
         assert results[1] == results[2] == (t, v)
 
+    @pytest.mark.parametrize("bins, k", [(80, 78), (80, 79), (80, 80), (300, 299)])
+    def test_matches_row_by_row_where_binomials_overflow_int64(self, bins, k):
+        # the ranks are decoded against C(a, m) for a < bins - 1, which pass
+        # 2**63 here (C(79, 39) ~ 5.4e22); at most C(79, 77) = 3 081 sets
+        rng = np.random.default_rng(bins * k)
+        counts = rng.integers(0, 6, size=bins) + (np.arange(bins) % 7 == 0) * 9
+        h = AngleHistogram(counts)
+        t, v = exhaustive_best_threshold(h, k, HALF)
+        assert (t.thresholds, v) == row_by_row_best(h, k, HALF)
+
 
 class TestMaterializeClusters:
     def test_quadrant_singletons(self):
