@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -197,36 +198,49 @@ def write_landscape_csv(path: Path, rows: list[tuple[int, float, float]]) -> Non
 # --- energy landscape ---------------------------------------------------------
 
 
+#: Most elements in one (K, distance, node) array of the forced-placement grid.
+LANDSCAPE_BLOCK = 1 << 14
+
+
 def analytic_energy_grid(area: AreaSpec, radio: RadioParams, k_values,
                          d_values) -> list[tuple[int, float, float]]:
     """Closed-form round energy over a (cluster count, head distance) grid."""
-    return [(int(k), float(d), predicted_round_energy(area, radio, int(k), float(d)))
-            for k in k_values for d in d_values]
+    d = np.array([float(v) for v in d_values])
+    d_list, rows = d.tolist(), []
+    for k in map(int, k_values):
+        rows.extend(zip(repeat(k), d_list, predicted_round_energy(area, radio, k, d).tolist()))
+    return rows
 
 
-def _forced_energies(xs: np.ndarray, ys: np.ndarray, radio: RadioParams, k: int,
-                     d_values: list[float]) -> np.ndarray:
-    """`forced_round_energy` of one deployment at one k for every head
-    distance in `d_values`: the sectors, bisectors and sector counts are
-    found once, and each distance's member terms are one row of a (D, n)
-    array, summed row by row."""
+def _forced_energies(xs: np.ndarray, ys: np.ndarray, angles: np.ndarray, radio: RadioParams,
+                     k: np.ndarray, d: np.ndarray, head_to_sink: np.ndarray) -> np.ndarray:
+    """`forced_round_energy` of one deployment, its angles in [0, 2 pi) given,
+    as a (K, distance) array: member costs summed along the rows of a
+    (K, distance, node) array, then each K's sector sizes (run lengths of its
+    sorted sectors) in ascending sector order, zeros where a K has fewer."""
+    if k.min() < 1:
+        raise ValueError("k must be at least 1")
     bits = radio.packet_bits
-    angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
-    sector = np.minimum((angles * k / (2.0 * math.pi)).astype(np.int64), k - 1)
-    bisector = (sector + 0.5) * (2.0 * math.pi / k)
-    d = np.array(d_values, dtype=float)
-    hx = np.multiply.outer(d, np.cos(bisector))
-    hy = np.multiply.outer(d, np.sin(bisector))
-    dist = np.hypot(xs - hx, ys - hy)
-    d_th = math.sqrt(radio.e_fs / radio.e_mp)
-    amp = np.where(dist <= d_th, radio.e_fs * dist ** 2, radio.e_mp * dist ** 4)
-    total = np.sum(bits * radio.e_elec + bits * amp, axis=1)
-    counts = np.bincount(sector, minlength=k)
-    head_to_sink = tx_energy(radio, bits, d)
-    for m in counts[counts > 0].tolist():
-        total += (m - 1) * rx_energy(radio, bits)
-        total += aggregation_energy(radio, bits, m)
-        total += head_to_sink
+    kc = k[:, None]
+    sector = np.minimum((angles * kc / (2.0 * math.pi)).astype(np.int64), kc - 1)
+    bisector = (sector + 0.5) * (2.0 * math.pi / kc)
+    dist = np.hypot(xs - d[:, None] * np.cos(bisector)[:, None, :],
+                    ys - d[:, None] * np.sin(bisector)[:, None, :])
+    amp = np.where(dist <= math.sqrt(radio.e_fs / radio.e_mp), radio.e_fs * dist ** 2,
+                   radio.e_mp * dist ** 4)
+    total = np.sum(bits * radio.e_elec + bits * amp, axis=-1)
+    runs = np.cumsum(np.diff(np.sort(sector, axis=1), axis=1, prepend=-1) != 0, axis=1) - 1
+    width = int(runs[:, -1].max()) + 1
+    sizes = np.bincount((runs + width * np.arange(k.size)[:, None]).ravel(),
+                        minlength=k.size * width).reshape(k.size, width)
+    # m - 1 and m * bits are exact, as the config bounds N * packet_bits
+    received = np.where(sizes > 0, (sizes - 1) * rx_energy(radio, bits), 0.0)
+    fused = aggregation_energy(radio, bits, sizes)
+    sink = np.where(sizes[:, :, None] > 0, head_to_sink, 0.0)
+    for j in range(width):
+        total += received[:, j, None]
+        total += fused[:, j, None]
+        total += sink[:, j]
     return total
 
 
@@ -240,24 +254,30 @@ def forced_round_energy(xs: np.ndarray, ys: np.ndarray, radio: RadioParams,
     head receives one packet per other member, fuses the sector's readings
     and forwards a single packet to the sink. Empty sectors cost nothing.
     """
-    return float(_forced_energies(xs, ys, radio, k, [d_ch])[0])
+    d = np.array([float(d_ch)])
+    angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
+    return float(_forced_energies(xs, ys, angles, radio, np.array([int(k)]), d,
+                                  tx_energy(radio, radio.packet_bits, d))[0, 0])
 
 
 def simulated_energy_grid(area: AreaSpec, radio: RadioParams, k_values, d_values,
                           seeds) -> list[tuple[int, float, float]]:
-    """Forced-placement round energy averaged over one deployment per seed."""
-    deployments = []
-    for seed in seeds:
-        nodes = deploy(area, seed)
-        deployments.append((np.array([n.x for n in nodes]),
-                            np.array([n.y for n in nodes])))
-    d_values = [float(d) for d in d_values]
-    rows = []
-    for k in k_values:
-        total = np.zeros(len(d_values))
-        for xs, ys in deployments:
-            total += _forced_energies(xs, ys, radio, int(k), d_values)
-        rows.extend((int(k), d, e / len(deployments)) for d, e in zip(d_values, total.tolist()))
+    """Forced-placement round energy averaged over one deployment per seed,
+    priced in blocks of K values of at most `LANDSCAPE_BLOCK` array elements."""
+    k = np.array([int(v) for v in k_values], dtype=np.int64)
+    d = np.array([float(v) for v in d_values])
+    head_to_sink = tx_energy(radio, radio.packet_bits, d)
+    block = max(1, LANDSCAPE_BLOCK // max(1, d.size * area.node_count))
+    total = np.zeros((k.size, d.size))
+    for nodes in (deploy(area, seed) for seed in seeds):
+        xs, ys = np.array([p.x for p in nodes]), np.array([p.y for p in nodes])
+        angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
+        for i in range(0, k.size, block):
+            total[i:i + block] += _forced_energies(xs, ys, angles, radio, k[i:i + block], d,
+                                                   head_to_sink)
+    d_list, rows = d.tolist(), []
+    for kk, energies in zip(k.tolist(), (total / len(seeds)).tolist()):
+        rows.extend(zip(repeat(kk), d_list, energies))
     return rows
 
 

@@ -110,7 +110,8 @@ def expected_sq_member_distance(area: AreaSpec, k: int, d_ch: float) -> float:
 
 def predicted_round_energy(area: AreaSpec, params: RadioParams, k: int, d_ch: float) -> float:
     """Analytical network energy per round (joules) for `k` equal clusters
-    with every head at distance `d_ch` from the sink, all links free-space."""
+    with every head at distance `d_ch` from the sink, all links free-space.
+    An array `d_ch` gives an array, each element by the float form's steps."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = area.node_count
@@ -150,12 +151,14 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
     """Sampling estimate of the mean squared member-to-head distance over the
     triangular wedge {0 <= x <= R, |y| <= x tan(pi/k)}, uniform density."""
     tan_half = math.tan(math.pi / k)
-    # radius_m * sqrt(u) and uniform(-1, 1) * x * tan_half, then
-    # (x - d_ch)**2 + y**2, each step in place in the two sample buffers
+    # radius_m * sqrt(u) and (2v - 1) * x * tan_half (2v is exact: uniform(-1, 1)'s
+    # values and stream), then (x - d_ch)**2 + y**2, in place in the two buffers
     x = rng.random(samples)
     np.sqrt(x, out=x)
     x *= radius_m
-    y = rng.uniform(-1.0, 1.0, samples)
+    y = rng.random(samples)
+    y *= 2.0
+    y -= 1.0
     y *= x
     y *= tan_half
     x -= d_ch

@@ -1,22 +1,28 @@
 import csv
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eerpms import (
     ConfigError,
     ExperimentSpec,
     NetworkConfig,
     Protocol,
+    RadioParams,
     load_experiment_spec,
     run_experiment,
     summarize_lifetime,
 )
 from eerpms import experiments
 from eerpms.experiments import ROUND_CSV_HEADER, write_rounds_csv
+from eerpms.radio import aggregation_energy, rx_energy, tx_energy
 from eerpms.simulation import LifetimeSummary, deploy, run_simulation
-from eerpms.theory import AreaSpec
+from eerpms.theory import AreaSpec, predicted_round_energy
 
 
 def small_spec(tmp_path, **kwargs):
@@ -138,28 +144,137 @@ class TestRunExperiment:
             small_spec(tmp_path, sweep_axis="omega1")
 
 
+def reference_round_energy(area, radio, k, d_ch):
+    """The closed form of `theory.predicted_round_energy` for one float d_ch."""
+    n, r, fs = area.node_count, area.radius_m, radio.e_fs
+    return radio.packet_bits * (
+        fs * ((k + n) * d_ch * d_ch - (4.0 * n * r / 3.0) * d_ch)
+        + n * (2.0 * radio.e_elec + radio.e_da
+               + fs * (3.0 * k * k + math.pi ** 2) * r * r / (6.0 * k * k))
+    )
+
+
+positive = st.floats(1e-15, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestAnalyticEnergyGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(radius=st.floats(0.5, 1e4), n=st.integers(1, 10**6),
+           radio=st.builds(RadioParams, e_elec=positive, e_fs=positive, e_mp=positive,
+                           e_da=positive, packet_bits=st.integers(1, 2**40)),
+           k_values=st.lists(st.integers(1, 500), max_size=8),
+           d_values=st.lists(st.floats(0.0, 1e4), max_size=12))
+    def test_equals_scalar_closed_form(self, radius, n, radio, k_values, d_values):
+        # K = 1, a duplicate and an unsorted order; d = 0 and distances past
+        # the 87.7 m crossover of the default radio
+        k_values = k_values + [1, 3, 3, 2]
+        d_values = [0.0, 87.8, 150.0] + d_values + [0.0]
+        area = AreaSpec(radius, n)
+        rows = experiments.analytic_energy_grid(area, radio, k_values, d_values)
+        assert rows == [(k, d, reference_round_energy(area, radio, k, d))
+                        for k in k_values for d in d_values]
+        assert all(type(v) is t for row in rows for v, t in zip(row, (int, float, float)))
+
+    def test_closed_form_returns_python_float(self):
+        # `_write_csv` writes a Python float with repr; np.float64 reprs differently
+        value = predicted_round_energy(AreaSpec(150.0, 100), RadioParams(), 10, 90.9)
+        assert type(value) is float
+        assert value == reference_round_energy(AreaSpec(150.0, 100), RadioParams(), 10, 90.9)
+
+
+def reference_forced_energies(xs, ys, radio, k, d_values):
+    """The forced-placement round energy of one deployment at one K for every
+    head distance, as one (D, n) array: the grid's reference, written apart
+    from its blocked kernel."""
+    bits = radio.packet_bits
+    angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
+    sector = np.minimum((angles * k / (2.0 * math.pi)).astype(np.int64), k - 1)
+    bisector = (sector + 0.5) * (2.0 * math.pi / k)
+    d = np.array(d_values, dtype=float)
+    hx = np.multiply.outer(d, np.cos(bisector))
+    hy = np.multiply.outer(d, np.sin(bisector))
+    dist = np.hypot(xs - hx, ys - hy)
+    d_th = math.sqrt(radio.e_fs / radio.e_mp)
+    amp = np.where(dist <= d_th, radio.e_fs * dist ** 2, radio.e_mp * dist ** 4)
+    total = np.sum(bits * radio.e_elec + bits * amp, axis=1)
+    counts = np.bincount(sector, minlength=k)
+    head_to_sink = tx_energy(radio, bits, d)
+    for m in counts[counts > 0].tolist():
+        total += (m - 1) * rx_energy(radio, bits)
+        total += aggregation_energy(radio, bits, m)
+        total += head_to_sink
+    return total
+
+
+def deployed_points(area, seed):
+    nodes = deploy(area, seed)
+    return np.array([p.x for p in nodes]), np.array([p.y for p in nodes])
+
+
 class TestSimulatedEnergyGrid:
     @pytest.mark.parametrize("radius, n, k_values, d_values, seeds", [
         (150.0, 100, range(1, 31), [10.0 * i for i in range(16)], [1, 2, 3]),
         (300.0, 40, [1, 7, 64], [0.0, 0.1, 87.7, 87.8, 299.9], [9]),
         (20.0, 1, [2], [5.0], [4, 5]),
-    ], ids=["operating-point", "multipath", "one-node"])
+        (150.0, 129, [1, 5, 10, 40], [0.0, 60.0, 90.0, 140.0], [1, 2]),
+        (150.0, 257, [3, 10, 17], [0.0, 45.0, 91.0], [3]),
+        (100.0, 12, [13, 40, 1000, 12, 11], [0.0, 50.0, 99.0], [6, 7]),
+        (150.0, 30, [9, 2, 9, 30, 1, 2, 17], [90.0, 0.0, 90.0], [8, 9]),
+        (150.0, 50, list(range(1, 400, 3)), [20.0, 90.0, 200.0], [10]),
+    ], ids=["operating-point", "multipath", "one-node", "n129", "n257", "k-above-n",
+            "unsorted-duplicated-k", "block-boundary"])
     def test_equals_cell_by_cell_loop(self, radius, n, k_values, d_values, seeds):
-        # every distance of a deployment at once, against one
-        # forced_round_energy call per cell and deployment, bit for bit
+        # the blocked grid against the per-K reference, bit for bit: n = 129
+        # and 257 split numpy's pairwise row sums (128 terms per leaf)
         area = AreaSpec(radius, n)
         radio = NetworkConfig().radio
-        deployments = [(np.array([p.x for p in nodes]), np.array([p.y for p in nodes]))
-                       for nodes in (deploy(area, s) for s in seeds)]
+        deployments = [deployed_points(area, s) for s in seeds]
         expected = []
         for k in k_values:
-            for d in d_values:
-                total = 0.0
-                for xs, ys in deployments:
-                    total += experiments.forced_round_energy(xs, ys, radio, k, d)
-                expected.append((k, d, total / len(deployments)))
+            total = np.zeros(len(d_values))
+            for xs, ys in deployments:
+                total += reference_forced_energies(xs, ys, radio, k, d_values)
+            expected.extend((k, d, e / len(seeds)) for d, e in zip(d_values, total.tolist()))
         assert experiments.simulated_energy_grid(area, radio, k_values, d_values,
                                                  seeds) == expected
+
+    def test_cases_cross_a_block_boundary(self):
+        # the operating point and "block-boundary" price their K values in
+        # several blocks of the element budget
+        for n, d_count, k_count in ((100, 16, 30), (50, 3, len(range(1, 400, 3)))):
+            assert k_count > experiments.LANDSCAPE_BLOCK // (n * d_count) >= 1
+
+    @pytest.mark.parametrize("k, d_ch", [(1, 0.0), (10, 90.0), (7, 87.7), (200, 150.0)])
+    def test_forced_round_energy_is_one_cell(self, k, d_ch):
+        xs, ys = deployed_points(AreaSpec(150.0, 100), 2)
+        radio = NetworkConfig().radio
+        value = experiments.forced_round_energy(xs, ys, radio, k, d_ch)
+        assert type(value) is float
+        assert value == reference_forced_energies(xs, ys, radio, k, [d_ch])[0]
+
+    def test_k_below_one_rejected(self):
+        xs, ys = deployed_points(AreaSpec(150.0, 10), 1)
+        radio = NetworkConfig().radio
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                experiments.forced_round_energy(xs, ys, radio, k, 10.0)
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                experiments.simulated_energy_grid(AreaSpec(150.0, 10), radio, [3, k], [10.0], [1])
+
+    def test_memory_does_not_grow_with_k(self):
+        # one K of a million sectors over 50 nodes: the per-K form held two
+        # arrays of K entries (9 MB); the grid's arrays scale with the nodes
+        area, radio = AreaSpec(150.0, 50), NetworkConfig().radio
+        experiments.simulated_energy_grid(area, radio, [10**6], [90.0], [1])
+        tracemalloc.start()
+        try:
+            rows = experiments.simulated_energy_grid(area, radio, [10**6], [90.0], [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        xs, ys = deployed_points(area, 1)
+        assert rows == [(10**6, 90.0, reference_forced_energies(xs, ys, radio, 10**6, [90.0])[0])]
 
 
 class TestSummaries:

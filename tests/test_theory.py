@@ -134,6 +134,30 @@ class TestExpectedSqMemberDistance:
         expected = float(np.mean((x - d) ** 2 + y ** 2))
         assert wedge_sq_distance_mc(150.0, k, d, 10_001, np.random.default_rng(seed)) == expected
 
+    @pytest.mark.parametrize("seed, k, d, samples", [(1, 9, 0.0, 1), (2, 10, 90.0, 8),
+                                                     (3, 12, 135.0, 10_001),
+                                                     (4, 3, 150.0, 200_003)])
+    def test_monte_carlo_equals_uniform_draw(self, seed, k, d, samples):
+        # against the body that drew the lateral coordinate with uniform(-1, 1):
+        # the same value, and the generator left in the same state
+        def uniform_draw(radius_m, k, d_ch, samples, rng):
+            tan_half = math.tan(math.pi / k)
+            x = rng.random(samples)
+            np.sqrt(x, out=x)
+            x *= radius_m
+            y = rng.uniform(-1.0, 1.0, samples)
+            y *= x
+            y *= tan_half
+            x -= d_ch
+            np.square(x, out=x)
+            np.square(y, out=y)
+            x += y
+            return float(np.mean(x))
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert wedge_sq_distance_mc(150.0, k, d, samples, rng) == \
+            uniform_draw(150.0, k, d, samples, expected_rng)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
     def test_domain_validation(self):
         area = AreaSpec(150.0, 100)
         with pytest.raises(ValueError):
