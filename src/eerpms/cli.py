@@ -129,7 +129,7 @@ def cmd_theory(args) -> int:
     print(f"crossover distance d_th = {d_th:.4f} m")
     print(f"K* = {plan.k_star}")
     print(f"d* = {plan.d_star_m:.2f} m")
-    print(f"minimum-energy ring radius = {plan.r_o1_m:.2f} m")
+    print(f"minimum-energy ring radius = {plan.d_star_m:.2f} m")
     if plan.k_star >= 2:
         limit = free_space_radius_limit(d_th, plan.k_star)
         print(f"free-space radius limit (K={plan.k_star}) = {limit:.2f} m")

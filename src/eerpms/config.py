@@ -104,8 +104,7 @@ class NetworkConfig:
         # the per-node arrays, the bat's (population, k - 1) arrays, FCM's
         # (n, k) buffers and the (occupied bins + 1)**2 segment table of the
         # threshold objective, at the largest k a run clusters into
-        k = min(self.k_clusters or optimal_cluster_count(AreaSpec(self.radius_m, self.node_count)),
-                self.bin_count)
+        k = min(self.cluster_count(self.node_count), self.bin_count)
         for name, size in (("node_count", self.node_count),
                            ("bat population * k", self.bat.population * k),
                            ("node_count * k", self.node_count * k),
@@ -130,6 +129,10 @@ class NetworkConfig:
                               "must stay below 2**52")
         if bat.loudness0 * self.bin_count >= _EXACT_FLOAT_INT:
             raise ConfigError("bat loudness * bin_count must stay below 2**52")
+
+    def cluster_count(self, alive: int) -> int:
+        """`k_clusters`, or when it is auto the closed-form optimum for `alive` nodes."""
+        return self.k_clusters or optimal_cluster_count(AreaSpec(self.radius_m, alive))
 
     def with_overrides(self, **kwargs) -> "NetworkConfig":
         return replace(self, **kwargs)

@@ -24,8 +24,6 @@ from .simulation import LifetimeSummary, RoundMetrics, deploy, run_simulation
 from .theory import AreaSpec, predicted_round_energy
 
 ROUND_CSV_HEADER = "round,alive,total_residual_j,ch_count,ch_energy_mean_j,ch_energy_var,deaths"
-IMPROVEMENTS_CSV_HEADER = ("sweep,value,baseline,fdn_improvement_pct,"
-                           "hdn_improvement_pct,ldn_improvement_pct")
 LANDSCAPE_CSV_HEADER = "k,d_ch_m,energy_j"
 
 SWEEP_AXES = ("none", "node_count", "omega1", "k_dch_grid")
@@ -50,6 +48,9 @@ class ExperimentSpec:
             raise ConfigError("seeds must be non-negative")
         if max(self.seeds) > _INT64_MAX:
             raise ConfigError("seeds must fit a 64-bit integer")
+        for name, values in (("seeds", self.seeds), ("protocols", self.protocols)):
+            if len(set(values)) < len(values):  # a repeat would run a cell twice
+                raise ConfigError(f"{name} must not repeat")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep must be one of {SWEEP_AXES}")
         if self.sweep_axis == "node_count" and not self.node_counts:
@@ -143,6 +144,18 @@ class SummaryRow(NamedTuple):
     ldn_sd: float
 
 
+class ImprovementRow(NamedTuple):
+    """One row of `improvements.csv`: EERPMS against one baseline at one
+    sweep point; its fields are the columns."""
+
+    sweep: str
+    value: str
+    baseline: Protocol
+    fdn_improvement_pct: float
+    hdn_improvement_pct: float
+    ldn_improvement_pct: float
+
+
 def _mean_sd(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / len(values)
     if len(values) < 2:
@@ -152,7 +165,7 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
 
 
 def summarize_lifetime(cells: dict[tuple[Protocol, str], list[LifetimeSummary]],
-                       sweep: str) -> tuple[list[SummaryRow], list[dict]]:
+                       sweep: str) -> tuple[list[SummaryRow], list[ImprovementRow]]:
     """Per-cell mean/sd of the lifetime metrics plus EERPMS-vs-baseline
     improvement percentages, computed as (EERPMS - baseline) / baseline."""
     rows = []
@@ -164,21 +177,14 @@ def summarize_lifetime(cells: dict[tuple[Protocol, str], list[LifetimeSummary]],
             stats.extend(_mean_sd(observed) if observed else (math.nan, math.nan))
         rows.append(SummaryRow(protocol, sweep, value, len(summaries), *stats))
 
+    ours = {row.value: row for row in rows if row.protocol is Protocol.EERPMS}
     improvements = []
-    by_value: dict[str, dict[Protocol, SummaryRow]] = {}
-    for row in rows:
-        by_value.setdefault(row.value, {})[row.protocol] = row
-    for value, per_proto in by_value.items():
-        if Protocol.EERPMS not in per_proto:
-            continue
-        ours = per_proto[Protocol.EERPMS]
-        for proto, row in per_proto.items():
-            if proto is Protocol.EERPMS:
-                continue
-            pcts = [100.0 * (getattr(ours, mean) - getattr(row, mean)) / getattr(row, mean)
-                    for mean in ("fdn_mean", "hdn_mean", "ldn_mean")]
-            improvements.append(dict(zip(IMPROVEMENTS_CSV_HEADER.split(","),
-                                         [sweep, value, proto.value, *pcts])))
+    for value in dict.fromkeys(row.value for row in rows):  # in order of first appearance
+        for row in rows:
+            if value in ours and row.value == value and row.protocol is not Protocol.EERPMS:
+                pcts = [100.0 * (getattr(ours[value], m) - getattr(row, m)) / getattr(row, m)
+                        for m in ("fdn_mean", "hdn_mean", "ldn_mean")]
+                improvements.append(ImprovementRow(sweep, value, row.protocol, *pcts))
     return rows, improvements
 
 
@@ -186,9 +192,8 @@ def write_summary_csv(path: Path, rows: list[SummaryRow]) -> None:
     _write_csv(path, ",".join(SummaryRow._fields), rows)
 
 
-def write_improvements_csv(path: Path, improvements: list[dict]) -> None:
-    columns = IMPROVEMENTS_CSV_HEADER.split(",")
-    _write_csv(path, IMPROVEMENTS_CSV_HEADER, ([imp[c] for c in columns] for imp in improvements))
+def write_improvements_csv(path: Path, improvements: list[ImprovementRow]) -> None:
+    _write_csv(path, ",".join(ImprovementRow._fields), improvements)
 
 
 def write_landscape_csv(path: Path, rows: list[tuple[int, float, float]]) -> None:
@@ -325,6 +330,9 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         return [path]
 
     cells = _cell_configs(spec)
+    labels = [label for label, _ in cells]   # they name each cell's rounds CSVs
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"{spec.sweep_axis} sweep points share output names: {labels}")
     _check_writable(spec.output_dir)
     # a summary.csv in the directory means the run that wrote it finished
     for name in ("summary.csv", "improvements.csv"):

@@ -25,7 +25,7 @@ from .network import Cluster, ClusterAssignment, Node, Protocol
 from .otsu import ObjectiveWeights, ThresholdSet, build_histogram, materialize_clusters
 from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .selection import ElectionTerms, SelectionWeights, select_cluster_heads
-from .theory import AreaSpec, optimal_ch_distance, optimal_cluster_count
+from .theory import AreaSpec, optimal_ch_distance
 
 _TWO_PI = 2.0 * math.pi
 
@@ -49,17 +49,19 @@ class RoundMetrics:
 
     @property
     def ch_energy_var(self) -> float:
-        if len(self.per_ch_energy_j) < 2:
-            return 0.0
-        mean = self.ch_energy_mean_j
-        return sum((e - mean) ** 2 for e in self.per_ch_energy_j) / len(self.per_ch_energy_j)
+        return _population_variance(self.per_ch_energy_j)
 
     @property
     def member_count_var(self) -> float:
-        if len(self.member_counts) < 1:
-            return 0.0
-        mean = sum(self.member_counts) / len(self.member_counts)
-        return sum((c - mean) ** 2 for c in self.member_counts) / len(self.member_counts)
+        return _population_variance(self.member_counts)
+
+
+def _population_variance(values) -> float:
+    """Mean squared deviation from the mean; 0.0 for no values."""
+    if not values:
+        return 0.0
+    mean = sum(values) / len(values)
+    return sum((v - mean) ** 2 for v in values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -114,31 +116,31 @@ def deploy(area: AreaSpec, seed) -> list[Node]:
 
 
 class Simulation:
-    """Simulation state plus the per-protocol round logic.
+    """Simulation state and the one round path of all three protocols.
 
     Node state lives in arrays indexed by node id: position (`x`, `y`,
     `d_bs`, `angle`), residual `energy`, the `alive` mask and the cluster
     `labels` (-1 outside every cluster); `heads` holds one head id per
     cluster (-1 for an empty one). These two arrays are the only record of
     the clustering; `assignment` is a per-step cached view of them as lists.
+
+    A round (`step`) elects heads, then charges the round (`_transmit`).
+    RLEACH elects by rotation (`_elect_rleach`); EERPMS and CRPFCM partition
+    the alive nodes whenever their count changes (`_recluster`), then elect
+    each cluster's head by residual energy and ring proximity.
     """
 
     def __init__(self, config: NetworkConfig) -> None:
         self.config = config
-        self.area = AreaSpec(config.radius_m, config.node_count)
         self.rng = np.random.default_rng(config.seed)
-        self.nodes = deploy(self.area, self.rng)
+        self.nodes = deploy(AreaSpec(config.radius_m, config.node_count), self.rng)
         n = config.node_count
-        self.x = np.array([node.x for node in self.nodes])
-        self.y = np.array([node.y for node in self.nodes])
-        self.d_bs = np.array([node.distance_to_bs for node in self.nodes])
-        self.angle = np.array([node.angle for node in self.nodes])
+        self.x, self.y, self.d_bs, self.angle = np.array(list(zip(*self.nodes))[1:])
         self.energy = np.full(n, config.initial_energy_j)
         self.alive = np.ones(n, dtype=bool)
         self.labels = np.full(n, -1)
         self.heads = np.full(0, -1)
         self.round_index = 0
-        self.current_k = 0
         self._election: ElectionTerms | None = None
         self._costs: CostTerms | None = None
         self.last_clustered_alive: int | None = None
@@ -146,25 +148,9 @@ class Simulation:
         # rx_sums[j]: j receptions added one at a time, as a head pays them
         self._rx_sums = np.concatenate(
             ([0.0], np.cumsum(np.full(n, rx_energy(config.radio, config.radio.packet_bits)))))
-        p_target = config.k_clusters if config.k_clusters is not None \
-            else optimal_cluster_count(self.area)
-        self._election_p = min(1.0, p_target / config.node_count)
-        self._epoch_len = max(1, int(1.0 / self._election_p))
+        self._election_p = min(1.0, config.cluster_count(n) / n)
+        self._epoch_len = int(1.0 / self._election_p)
         self._eligible = np.ones(n, dtype=bool)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _cluster_count(self, alive: int) -> int:
-        if self.config.k_clusters is not None:
-            k = self.config.k_clusters
-        else:
-            k = optimal_cluster_count(AreaSpec(self.config.radius_m, max(1, alive)))
-        return max(1, min(k, self.config.bin_count))
-
-    def _ring_radius(self, alive: int, k: int) -> float:
-        if self.config.ring_radius_m is not None:
-            return self.config.ring_radius_m
-        return optimal_ch_distance(AreaSpec(self.config.radius_m, max(1, alive)), k)
 
     def _set_clusters(self, labels, k: int) -> None:
         """Cluster the alive nodes into `k` clusters: `labels` gives each
@@ -197,22 +183,71 @@ class Simulation:
         return ClusterAssignment([Cluster(g.tolist(), h if h >= 0 else None)
                                   for g, h in zip(groups, self.heads.tolist())])
 
-    def _cluster_for_election(self, labels, k_eff: int, k: int) -> None:
-        """Cluster the alive nodes into `k_eff` clusters, planned for `k`, and
-        fix the election terms until the next reclustering; the ring radius
-        depends only on the alive count and `k`."""
-        self._set_clusters(labels, k_eff)
-        self.current_k = k
-        weights = SelectionWeights(
-            omega1=self.config.omega1,
-            omega2=self.config.omega2,
-            ring_radius_m=self._ring_radius(self.last_clustered_alive, max(1, k)),
-        )
-        self._election = ElectionTerms(self.labels, k_eff, self.d_bs, weights)
+    # -- one round -------------------------------------------------------
 
-    def _select_heads(self) -> None:
-        self.heads = select_cluster_heads(
-            self._election, self.energy / self.config.initial_energy_j)
+    def step(self) -> RoundMetrics:
+        if not self.alive.any():
+            raise RuntimeError("no alive nodes left to simulate")
+        self.round_index += 1
+        self.__dict__.pop("assignment", None)
+        if self.config.protocol is Protocol.RLEACH:
+            self._elect_rleach()
+        else:
+            # None before the first clustering, which equals no alive count
+            if int(self.alive.sum()) != self.last_clustered_alive:
+                self._recluster()
+            self.heads = select_cluster_heads(
+                self._election, self.energy / self.config.initial_energy_j)
+        return self._transmit()
+
+    def _recluster(self) -> None:
+        """Partition the alive nodes, EERPMS by the bat's angle thresholds and
+        CRPFCM by fuzzy c-means, and fix the election terms until the next
+        reclustering."""
+        config = self.config
+        alive = int(self.alive.sum())
+        k = min(config.cluster_count(alive), config.bin_count)
+        if config.protocol is Protocol.EERPMS:
+            angles = self.angle[self.alive]
+            hist = build_histogram(angles, config.bin_count)
+            if k == 1:
+                tset = ThresholdSet((), 1)
+            else:
+                bat = replace(config.bat, seed=int(self.rng.integers(0, 2 ** 63)))
+                tset, _ = optimize_thresholds(
+                    hist, k, ObjectiveWeights(config.alpha1, config.alpha2), bat)
+            labels, k_eff = materialize_clusters(angles, tset, config.bin_count), k
+        else:
+            k_eff = min(k, alive)
+            points = np.column_stack((self.x[self.alive], self.y[self.alive]))
+            labels, _ = fuzzy_c_means(points, k_eff, self.rng)
+        self._set_clusters(labels, k_eff)
+        ring = config.ring_radius_m if config.ring_radius_m is not None \
+            else optimal_ch_distance(AreaSpec(config.radius_m, alive), k)
+        self._election = ElectionTerms(self.labels, k_eff, self.d_bs,
+                                       SelectionWeights(config.omega1, config.omega2, ring))
+
+    def _elect_rleach(self) -> None:
+        r = self.round_index - 1
+        if r % self._epoch_len == 0:
+            self._eligible[:] = True
+        p = self._election_p
+        threshold_base = p / (1.0 - p * (r % self._epoch_len))
+        # one draw per alive, eligible node, in id order
+        candidates = np.flatnonzero(self.alive & self._eligible)
+        threshold = threshold_base * (self.energy[candidates] / self.config.initial_energy_j)
+        heads = candidates[self.rng.random(candidates.size) < threshold]
+        self._eligible[heads] = False
+        if heads.size:
+            # each alive node joins its nearest head, the first listed among
+            # equals; a head with no other takers forms its own singleton cluster
+            alive = np.flatnonzero(self.alive)
+            labels = np.argmin(np.hypot(self.x[alive, None] - self.x[heads],
+                                        self.y[alive, None] - self.y[heads]), axis=1)
+        else:
+            labels = -1  # no heads: every alive node sends straight to the sink
+        self._set_clusters(labels, heads.size)
+        self.heads = heads
 
     def _transmit(self) -> RoundMetrics:
         """Charge the round's costs and emit metrics.
@@ -261,98 +296,21 @@ class Simulation:
             dead_node_ids=tuple(dead.tolist()),
         )
 
-    # -- protocol rounds -------------------------------------------------
-
-    def step(self) -> RoundMetrics:
-        if not self.alive.any():
-            raise RuntimeError("no alive nodes left to simulate")
-        self.round_index += 1
-        self.__dict__.pop("assignment", None)
-        if self.config.protocol is Protocol.EERPMS:
-            return self._round_eerpms()
-        if self.config.protocol is Protocol.RLEACH:
-            return self._round_rleach()
-        return self._round_crpfcm()
-
-    def _needs_reclustering(self) -> bool:
-        # None before the first clustering, which equals no alive count
-        return int(self.alive.sum()) != self.last_clustered_alive
-
-    def _round_eerpms(self) -> RoundMetrics:
-        if self._needs_reclustering():
-            angles = self.angle[self.alive]
-            k = self._cluster_count(angles.size)
-            hist = build_histogram(angles, self.config.bin_count)
-            weights = ObjectiveWeights(self.config.alpha1, self.config.alpha2)
-            if k == 1:
-                tset = ThresholdSet((), 1)
-            else:
-                bat = replace(self.config.bat, seed=int(self.rng.integers(0, 2 ** 63)))
-                tset, _ = optimize_thresholds(hist, k, weights, bat)
-            self._cluster_for_election(
-                materialize_clusters(angles, tset, self.config.bin_count), k, k)
-        self._select_heads()
-        return self._transmit()
-
-    def _round_crpfcm(self) -> RoundMetrics:
-        if self._needs_reclustering():
-            points = np.column_stack((self.x[self.alive], self.y[self.alive]))
-            k = self._cluster_count(len(points))
-            k_eff = min(k, len(points))
-            labels, _ = fuzzy_c_means(points, k_eff, self.rng)
-            self._cluster_for_election(labels, k_eff, k)
-        self._select_heads()
-        return self._transmit()
-
-    def _round_rleach(self) -> RoundMetrics:
-        r = self.round_index - 1
-        if r % self._epoch_len == 0:
-            self._eligible[:] = True
-        p = self._election_p
-        threshold_base = p / (1.0 - p * (r % self._epoch_len))
-        # one draw per alive, eligible node, in id order
-        candidates = np.flatnonzero(self.alive & self._eligible)
-        threshold = threshold_base * (self.energy[candidates] / self.config.initial_energy_j)
-        heads = candidates[self.rng.random(candidates.size) < threshold]
-        self._eligible[heads] = False
-        if heads.size:
-            # each alive node joins its nearest head, the first listed among
-            # equals; a head with no other takers forms its own singleton cluster
-            alive = np.flatnonzero(self.alive)
-            labels = np.argmin(np.hypot(self.x[alive, None] - self.x[heads],
-                                        self.y[alive, None] - self.y[heads]), axis=1)
-        else:
-            labels = -1  # no heads: every alive node sends straight to the sink
-        self._set_clusters(labels, heads.size)
-        self.heads = heads
-        self.current_k = int(heads.size)
-        return self._transmit()
-
     # -- full run --------------------------------------------------------
 
     def run(self) -> SimulationResult:
+        n, alive_before = self.config.node_count, int(self.alive.sum())
         metrics: list[RoundMetrics] = []
-        n = self.config.node_count
-        half = math.ceil(n / 2)
-        fdn = hdn = ldn = None
-        dead_total = 0
         while self.round_index < self.config.max_rounds and self.alive.any():
-            m = self.step()
-            metrics.append(m)
-            if m.dead_node_ids:
-                dead_total += len(m.dead_node_ids)
-                if fdn is None:
-                    fdn = m.round_index
-                if hdn is None and dead_total >= half:
-                    hdn = m.round_index
-                if ldn is None and dead_total == n:
-                    ldn = m.round_index
-        return SimulationResult(
-            config=self.config,
-            rounds=metrics,
-            lifetime=LifetimeSummary(fdn_round=fdn, hdn_round=hdn, ldn_round=ldn,
-                                     rounds_completed=self.round_index),
-        )
+            metrics.append(self.step())
+
+        def first_round(deaths: int) -> int | None:
+            """The first round by whose end this run has seen `deaths` deaths."""
+            return next((m.round_index for m in metrics
+                         if alive_before - m.alive_count >= deaths), None)
+        lifetime = LifetimeSummary(first_round(1), first_round(math.ceil(n / 2)),
+                                   first_round(n), self.round_index)
+        return SimulationResult(config=self.config, rounds=metrics, lifetime=lifetime)
 
 
 def run_simulation(config: NetworkConfig) -> SimulationResult:

@@ -34,8 +34,7 @@ class OptimalPlan:
     """Closed-form plan: cluster count, head ring radius, feasibility flags."""
 
     k_star: int
-    d_star_m: float
-    r_o1_m: float            # radius of the minimum-energy ring (= d_star_m)
+    d_star_m: float          # head-to-sink distance: the minimum-energy ring's radius
     feasible: bool           # field radius within the free-space limit for k_star
     d_star_in_band: bool     # d_star inside the feasible head-distance band
 
@@ -140,7 +139,7 @@ def optimal_plan(area: AreaSpec, params: RadioParams) -> OptimalPlan:
         in_band = lo <= d <= hi
     elif feasible:
         in_band = d <= d_th
-    return OptimalPlan(k_star=k, d_star_m=d, r_o1_m=d, feasible=feasible,
+    return OptimalPlan(k_star=k, d_star_m=d, feasible=feasible,
                        d_star_in_band=in_band)
 
 

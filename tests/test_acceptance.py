@@ -10,10 +10,12 @@ Criterion 8 and the users of the 60-run `lifetime_runs` fixture are marked
 import itertools
 import math
 import re
+import statistics
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eerpms import (
     AngleHistogram,
@@ -287,6 +289,34 @@ def test_criterion_7_comparative_lifetime(lifetime_runs):
         f"residual@800 wins: RLEACH {beats_rleach}/20, CRPFCM {beats_crpfcm}/20")
 
 
+def average_ranks(values):
+    """1-based ranks of `values`; tied values share the mean of their ranks."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        tied = list(group)
+        for i in tied:
+            ranks[i] = start + (len(tied) + 1) / 2
+        start += len(tied)
+    return ranks
+
+
+def spearman(x, y):
+    """Spearman's rank correlation: Pearson's r of the average ranks."""
+    return statistics.correlation(average_ranks(x), average_ranks(y))
+
+
+@settings(deadline=None)  # the first example imports scipy.stats
+@given(st.lists(st.tuples(st.integers(-3, 3), st.floats(-1e3, 1e3) | st.integers(-2, 2)),
+                min_size=3, max_size=40))
+def test_spearman_matches_scipy_with_ties(pairs):
+    stats = pytest.importorskip("scipy.stats")
+    x, y = (list(v) for v in zip(*pairs))
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    assert abs(spearman(x, y) - stats.spearmanr(x, y).statistic) <= 1e-12
+
+
 @pytest.mark.slow
 def test_criterion_8_weight_sweep_trends():
     omegas = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -300,8 +330,8 @@ def test_criterion_8_weight_sweep_trends():
             ldn.append(lifetime.ldn_round)
         mean_fdn.append(float(np.mean(fdn)))
         mean_ldn.append(float(np.mean(ldn)))
-    rho_fdn = spearmanr(omegas, mean_fdn).statistic
-    rho_ldn = spearmanr(omegas, mean_ldn).statistic
+    rho_fdn = spearman(omegas, mean_fdn)
+    rho_ldn = spearman(omegas, mean_ldn)
     ok = rho_fdn > 0 and rho_ldn < 0
     report(8, "energy-weight sweep trends", ok,
            f"spearman(omega1, FDN)={rho_fdn:+.2f} (>0), "

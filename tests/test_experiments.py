@@ -302,10 +302,10 @@ class TestSummaries:
             {(Protocol.EERPMS, "base"): ours, (Protocol.RLEACH, "base"): theirs},
             "none")
         (imp,) = improvements
-        assert imp["baseline"] == "RLEACH"
-        assert imp["fdn_improvement_pct"] == pytest.approx(50.0)
-        assert imp["hdn_improvement_pct"] == pytest.approx(25.0)
-        assert imp["ldn_improvement_pct"] == pytest.approx(10.0)
+        assert imp.baseline is Protocol.RLEACH
+        assert imp.fdn_improvement_pct == pytest.approx(50.0)
+        assert imp.hdn_improvement_pct == pytest.approx(25.0)
+        assert imp.ldn_improvement_pct == pytest.approx(10.0)
 
     def test_no_improvements_without_reference_protocol(self):
         theirs = [LifetimeSummary(600, 800, 1000, 1000)]
@@ -356,6 +356,26 @@ class TestSpecFile:
         with pytest.raises(ConfigError) as info:
             load_experiment_spec(spec_file)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("lines, message", [
+        # both points print as w0.3 under :g
+        ("sweep = omega1\nomega1_values = 0.3, 0.3000001",
+         "omega1 sweep points share output names: ['w0.3', 'w0.3']"),
+        ("sweep = node_count\nnode_counts = 10, 12, 10",
+         "node_count sweep points share output names: ['n10', 'n12', 'n10']"),
+        ("protocols = EERPMS, eerpms\nseeds = 1, 1", "seeds must not repeat"),
+        ("protocols = EERPMS, eerpms", "protocols must not repeat"),
+    ], ids=["omega1-label", "node-count-label", "seed", "protocol"])
+    def test_colliding_cells_rejected_before_writing(self, tmp_path, lines, message):
+        # cells that share an output name would write one rounds CSV over
+        # another and count as extra seeds in summary.csv
+        spec_file = tmp_path / "exp.ini"
+        spec_file.write_text(f"[experiment]\n{lines}\noutput_dir = {tmp_path / 'out'}\n"
+                             "[network]\nnode_count = 10\nmax_rounds = 20\n")
+        with pytest.raises(ConfigError) as info:
+            run_experiment(load_experiment_spec(spec_file))
+        assert str(info.value) == message
+        assert not (tmp_path / "out").exists()
 
     def test_shipped_specs_parse(self):
         configs = Path(__file__).resolve().parents[1] / "configs"

@@ -164,7 +164,7 @@ class TestEnergyAccounting:
         mean_d = sum(h.distance_to_bs for h in heads) / len(heads)
         predicted = predicted_round_energy(
             AreaSpec(config.radius_m, config.node_count), config.radio,
-            sim.current_k, mean_d)
+            sim.heads.size, mean_d)
         assert 0.75 * predicted <= m.spent_j <= 1.25 * predicted
 
 

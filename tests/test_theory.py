@@ -220,7 +220,6 @@ class TestOptimalPlan:
         plan = optimal_plan(AreaSpec(150.0, 100), RADIO)
         assert plan.k_star == 9
         assert plan.d_star_m == pytest.approx(91.743, abs=0.01)
-        assert plan.r_o1_m == plan.d_star_m
         assert plan.feasible is True
         # the unconstrained optimum exceeds the crossover distance, so it
         # falls outside the feasible band; reported, not silently projected
