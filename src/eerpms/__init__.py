@@ -35,7 +35,7 @@ from .radio import (
     rx_energy,
     tx_energy,
 )
-from .selection import ElectionTerms, SelectionWeights, attribute_score, \
+from .selection import ElectionTerms, Grouping, SelectionWeights, attribute_score, \
     distance_to_ring, select_cluster_heads
 from .simulation import (
     LifetimeSummary,

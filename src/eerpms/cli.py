@@ -130,15 +130,13 @@ def cmd_theory(args) -> int:
     print(f"K* = {plan.k_star}")
     print(f"d* = {plan.d_star_m:.2f} m")
     print(f"minimum-energy ring radius = {plan.d_star_m:.2f} m")
-    if plan.k_star >= 2:
-        limit = free_space_radius_limit(d_th, plan.k_star)
-        print(f"free-space radius limit (K={plan.k_star}) = {limit:.2f} m")
-        print(f"radius within free-space limit: {'yes' if plan.feasible else 'no'}")
-        if plan.feasible:
-            lo, hi = feasible_ch_band(area, d_th, plan.k_star)
-            print(f"feasible head-distance band (K={plan.k_star}) = "
-                  f"[{lo:.2f}, {hi:.2f}] m")
-            print(f"d* inside feasible band: {'yes' if plan.d_star_in_band else 'no'}")
+    limit = free_space_radius_limit(d_th, plan.k_star)
+    print(f"free-space radius limit (K={plan.k_star}) = {limit:.2f} m")
+    print(f"radius within free-space limit: {'yes' if plan.feasible else 'no'}")
+    if plan.feasible:
+        lo, hi = feasible_ch_band(area, d_th, plan.k_star)
+        print(f"feasible head-distance band (K={plan.k_star}) = [{lo:.2f}, {hi:.2f}] m")
+        print(f"d* inside feasible band: {'yes' if plan.d_star_in_band else 'no'}")
     return 0
 
 
@@ -196,8 +194,8 @@ def cmd_verify(args) -> int:
     # sector coverage at the feasible-band endpoints
     d_th = distance_threshold(radio)
     plan = optimal_plan(area, radio)
-    k = max(2, plan.k_star)
-    if area.radius_m <= free_space_radius_limit(d_th, k):
+    k = plan.k_star
+    if plan.feasible:
         lo, hi = feasible_ch_band(area, d_th, k)
         for name, d_ch in (("band lo", lo), ("band hi", hi)):
             bad = sector_coverage_violations(area.radius_m, k, d_th, d_ch,
@@ -258,8 +256,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

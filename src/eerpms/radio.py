@@ -49,8 +49,9 @@ def tx_energy(params: RadioParams, bits: int, d):
     amp = bits * params.e_fs * d * d
     far = d > distance_threshold(params)
     if far.any():
-        # Python's d ** 4 element by element: numpy's vectorised power
-        # differs from it in the last bit on some distances
+        # Python's v ** 4 element by element: numpy's vectorised power
+        # differs from it in the last bit on some distances. Neither is exact:
+        # Python's calls libm's pow, whose bits change without glibc's FMA variant
         amp[far] = [bits * params.e_mp * v ** 4 for v in d[far].tolist()]
     energy = bits * params.e_elec + amp
     return float(energy[0]) if given.ndim == 0 else energy

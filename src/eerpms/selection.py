@@ -7,6 +7,7 @@ node from burning out. The attribute score trades the two off.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,48 +61,63 @@ def attribute_score(energy_fraction, ring_d, cluster_min_d, cluster_max_d,
     return w.omega1 * energy_fraction + w.omega2 * distance_term
 
 
-class ElectionTerms:
-    """The part of head election that one clustering fixes.
+class Grouping:
+    """One clustering's members grouped by cluster: `labels[i]` is node i's
+    cluster in 0..k-1, or -1 outside every cluster. Holds the clustered ids
+    in id order (`members`) with their labels, and the non-empty `clusters`
+    with their `sizes` and `starts`, offsets into `ids`, the members in
+    (cluster, id) order. `ids` and `starts` are made on first read: RLEACH
+    groups every round and needs only the sizes."""
 
-    `labels[i]` is node i's cluster in 0..k-1, or -1 for a node outside
-    every cluster (the dead); `distance_to_bs` has one entry per node. The
-    members are held grouped by (cluster, id) with their weighted distance
-    term `omega2 * term`, so that a round's election only adds the energy
-    term and takes each group's maximum.
-    """
-
-    def __init__(self, labels, k: int, distance_to_bs, w: SelectionWeights) -> None:
+    def __init__(self, labels, k: int) -> None:
         labels = np.asarray(labels)
-        if (labels >= k).any():
-            raise ValueError("labels must lie in -1..k-1")
-        ids = np.flatnonzero(labels >= 0)
-        ids = ids[np.argsort(labels[ids], kind="stable")]
-        lab = labels[ids]
-        starts = np.flatnonzero(np.diff(lab, prepend=-1))   # each non-empty cluster
-        sizes = np.diff(starts, append=ids.size)
-        ring_d = distance_to_ring(np.asarray(distance_to_bs)[ids], w.ring_radius_m)
-        d_min = np.repeat(np.minimum.reduceat(ring_d, starts), sizes)
-        d_max = np.repeat(np.maximum.reduceat(ring_d, starts), sizes)
         self.k = k
+        self.members = np.flatnonzero(labels >= 0)
+        self.member_labels = labels[self.members]
+        counts = np.bincount(self.member_labels, minlength=k)
+        if counts.size > k:
+            raise ValueError("labels must lie in -1..k-1")
+        self.clusters = np.flatnonzero(counts)
+        self.sizes = counts[self.clusters]
+
+    @functools.cached_property
+    def ids(self) -> np.ndarray:
+        return self.members[np.argsort(self.member_labels, kind="stable")]
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+
+class ElectionTerms:
+    """The part of head election that one clustering fixes: the `grouping`
+    and its members' weighted distance term `omega2 * term`, in `ids` order
+    (`distance_to_bs` has one entry per node), so that a round's election
+    only adds the energy term and takes each group's maximum."""
+
+    def __init__(self, grouping: Grouping, distance_to_bs, w: SelectionWeights) -> None:
+        g = grouping
+        ring_d = distance_to_ring(np.asarray(distance_to_bs)[g.ids], w.ring_radius_m)
+        d_min = np.repeat(np.minimum.reduceat(ring_d, g.starts), g.sizes)
+        d_max = np.repeat(np.maximum.reduceat(ring_d, g.starts), g.sizes)
+        self.grouping = g
         self.omega1 = w.omega1
-        self.ids = ids
-        self.starts = starts
-        self.clusters = lab[starts]
-        self.group = np.repeat(np.arange(starts.size), sizes)
+        self.group = np.repeat(np.arange(g.clusters.size), g.sizes)
         self.distance_term = w.omega2 * _distance_term(ring_d, d_min, d_max)
 
 
 def select_cluster_heads(terms: ElectionTerms, energy_fraction) -> np.ndarray:
-    """Elect the highest-scoring member of each of the `terms.k` clusters.
+    """Elect the highest-scoring member of each of the grouping's k clusters.
 
     `energy_fraction` holds residual over initial energy, one entry per
     node. Returns each cluster's head id, -1 for an empty cluster. Ties
     break toward the lowest node id.
     """
-    score = terms.omega1 * energy_fraction[terms.ids] + terms.distance_term
-    best = np.maximum.reduceat(score, terms.starts)
+    g = terms.grouping
+    score = terms.omega1 * energy_fraction[g.ids] + terms.distance_term
+    best = np.maximum.reduceat(score, g.starts)
     top = np.flatnonzero(score == best[terms.group])
-    heads = np.full(terms.k, -1)
+    heads = np.full(g.k, -1)
     # members are in id order within a cluster, so its first top score has the lowest id
-    heads[terms.clusters] = terms.ids[top[np.searchsorted(top, terms.starts)]]
+    heads[g.clusters] = g.ids[top[np.searchsorted(top, g.starts)]]
     return heads

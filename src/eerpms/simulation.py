@@ -23,8 +23,8 @@ from .config import NetworkConfig
 from .fcm import fuzzy_c_means
 from .network import Cluster, ClusterAssignment, Node, Protocol
 from .otsu import ObjectiveWeights, ThresholdSet, build_histogram, materialize_clusters
-from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
-from .selection import ElectionTerms, SelectionWeights, select_cluster_heads
+from .radio import aggregation_energy, rx_energy, tx_energy
+from .selection import ElectionTerms, Grouping, SelectionWeights, select_cluster_heads
 from .theory import AreaSpec, optimal_ch_distance
 
 _TWO_PI = 2.0 * math.pi
@@ -79,32 +79,6 @@ class SimulationResult:
     lifetime: LifetimeSummary
 
 
-class CostTerms:
-    """The part of round costing that one clustering fixes.
-
-    `labels[i]` is node i's cluster in 0..k-1, or -1 outside every cluster.
-    The alive nodes stay the same until the next clustering, because every
-    death triggers one. Holds the alive ids; the alive nodes outside every
-    cluster, which send straight to the sink, with their costs, taken from
-    `sink_tx` (each node's cost of a packet to the sink); the clustered
-    nodes in id order with their labels; and the non-empty clusters with
-    their sizes and the aggregation cost of their heads.
-    """
-
-    def __init__(self, labels: np.ndarray, alive: np.ndarray, k: int,
-                 sink_tx: np.ndarray, radio: RadioParams) -> None:
-        self.alive_ids = np.flatnonzero(alive)
-        self.direct = self.alive_ids[labels[self.alive_ids] < 0]
-        self.direct_tx = sink_tx[self.direct]
-        self.members = np.flatnonzero(labels >= 0)
-        self.member_labels = labels[self.members]
-        self.k = k
-        sizes = np.bincount(self.member_labels, minlength=k)
-        self.served = np.flatnonzero(sizes)
-        self.member_counts = tuple(sizes[self.served].tolist())
-        self.aggregation = aggregation_energy(radio, radio.packet_bits, sizes[self.served])
-
-
 def deploy(area: AreaSpec, seed) -> list[Node]:
     """Place `node_count` nodes i.i.d. uniform over the disk (area-uniform:
     r = R*sqrt(u), theta = 2*pi*v). Deterministic per seed."""
@@ -122,7 +96,9 @@ class Simulation:
     `d_bs`, `angle`), residual `energy`, the `alive` mask and the cluster
     `labels` (-1 outside every cluster); `heads` holds one head id per
     cluster (-1 for an empty one). These two arrays are the only record of
-    the clustering; `assignment` is a per-step cached view of them as lists.
+    the clustering. `grouping` groups `labels` by cluster once per
+    clustering, for costing, election and `assignment`, a per-step cached
+    view of the clustering as lists.
 
     A round (`step`) elects heads, then charges the round (`_transmit`).
     RLEACH elects by rotation (`_elect_rleach`); EERPMS and CRPFCM partition
@@ -140,9 +116,9 @@ class Simulation:
         self.alive = np.ones(n, dtype=bool)
         self.labels = np.full(n, -1)
         self.heads = np.full(0, -1)
+        self.grouping = Grouping(self.labels, 0)
         self.round_index = 0
         self._election: ElectionTerms | None = None
-        self._costs: CostTerms | None = None
         self.last_clustered_alive: int | None = None
         self.clustering_events = 0
         # rx_sums[j]: j receptions added one at a time, as a head pays them
@@ -154,18 +130,27 @@ class Simulation:
 
     def _set_clusters(self, labels, k: int) -> None:
         """Cluster the alive nodes into `k` clusters: `labels` gives each
-        one's cluster, or -1 for every alive node when there are no clusters;
-        fixes the costing terms until the next clustering."""
+        one's cluster, or -1 for every alive node when there are no clusters.
+        Fixes, until the next clustering (every death triggers one), the
+        grouping, the alive ids, those that send straight to the sink and
+        each served cluster's head cost before its sink link: every head is
+        a member of its cluster, so it receives size - 1 packets."""
         self.labels[:] = -1
         self.labels[self.alive] = labels
-        self._costs = CostTerms(self.labels, self.alive, k, self._sink_tx, self.config.radio)
-        self.last_clustered_alive = self._costs.alive_ids.size
+        self.grouping = g = Grouping(self.labels, k)
+        self._alive_ids = np.flatnonzero(self.alive)
+        self._direct = self._alive_ids[self.labels[self._alive_ids] < 0]
+        radio = self.config.radio
+        self._head_cost = (self._rx_sums[g.sizes - 1]
+                           + aggregation_energy(radio, radio.packet_bits, g.sizes))
+        self._member_counts = tuple(g.sizes.tolist())  # one tuple shared by its rounds
+        self.last_clustered_alive = self._alive_ids.size
         self.clustering_events += 1
 
     @functools.cached_property
     def _sink_tx(self) -> np.ndarray:
         """Every node's cost of one packet straight to the sink. `d_bs` never
-        changes, so this is priced once, at the first clustering."""
+        changes, so this is priced once, in the first round."""
         radio = self.config.radio
         return tx_energy(radio, radio.packet_bits, self.d_bs)
 
@@ -176,12 +161,11 @@ class Simulation:
         round share one object. It exists only for the benchmark's round
         checks (`benchmark/checks.py`, and `benchmark/selfcheck.py`, which
         edits it in place)."""
-        ids = np.flatnonzero(self.labels >= 0)
-        lab = self.labels[ids]
-        groups = np.split(ids[np.argsort(lab, kind="stable")],
-                          np.cumsum(np.bincount(lab, minlength=self.heads.size))[:-1])
-        return ClusterAssignment([Cluster(g.tolist(), h if h >= 0 else None)
-                                  for g, h in zip(groups, self.heads.tolist())])
+        g = self.grouping
+        sizes = np.zeros(g.k, dtype=np.int64)
+        sizes[g.clusters] = g.sizes
+        return ClusterAssignment([Cluster(ids.tolist(), h if h >= 0 else None) for ids, h in
+                                  zip(np.split(g.ids, np.cumsum(sizes)[:-1]), self.heads.tolist())])
 
     # -- one round -------------------------------------------------------
 
@@ -224,7 +208,7 @@ class Simulation:
         self._set_clusters(labels, k_eff)
         ring = config.ring_radius_m if config.ring_radius_m is not None \
             else optimal_ch_distance(AreaSpec(config.radius_m, alive), k)
-        self._election = ElectionTerms(self.labels, k_eff, self.d_bs,
+        self._election = ElectionTerms(self.grouping, self.d_bs,
                                        SelectionWeights(config.omega1, config.omega2, ring))
 
     def _elect_rleach(self) -> None:
@@ -240,7 +224,8 @@ class Simulation:
         self._eligible[heads] = False
         if heads.size:
             # each alive node joins its nearest head, the first listed among
-            # equals; a head with no other takers forms its own singleton cluster
+            # equals; a head joins its own cluster (distance 0) unless an earlier
+            # head shares its position, and then no node joins it
             alive = np.flatnonzero(self.alive)
             labels = np.argmin(np.hypot(self.x[alive, None] - self.x[heads],
                                         self.y[alive, None] - self.y[heads]), axis=1)
@@ -259,20 +244,18 @@ class Simulation:
         sink links come from `_sink_tx`.
         """
         radio = self.config.radio
-        terms = self._costs
-        members = terms.members
-        to = self.heads[terms.member_labels]
-        sends = members != to
-        senders, to = members[sends], to[sends]
-        head_ids = self.heads[terms.served]
-        received = np.bincount(terms.member_labels[sends], minlength=terms.k)[terms.served]
+        g = self.grouping
+        to = self.heads[g.member_labels]
+        sends = g.members != to
+        senders, to = g.members[sends], to[sends]
+        head_ids = self.heads[g.clusters]
         cost = np.zeros(self.config.node_count)
-        cost[terms.direct] = terms.direct_tx
+        cost[self._direct] = self._sink_tx[self._direct]
         cost[senders] = tx_energy(radio, radio.packet_bits, np.hypot(
             self.x[senders] - self.x[to], self.y[senders] - self.y[to]))
-        cost[head_ids] += self._rx_sums[received] + terms.aggregation + self._sink_tx[head_ids]
+        cost[head_ids] = self._head_cost + self._sink_tx[head_ids]
 
-        alive = terms.alive_ids
+        alive = self._alive_ids
         before = self.energy[alive]
         head_before = self.energy[head_ids]
         after = np.maximum(0.0, before - cost[alive])
@@ -292,7 +275,7 @@ class Simulation:
             spent_j=float(np.cumsum(spent_alive)[-1]),
             ch_count=head_ids.size,
             per_ch_energy_j=tuple((head_before - self.energy[head_ids]).tolist()),
-            member_counts=terms.member_counts,
+            member_counts=self._member_counts,
             dead_node_ids=tuple(dead.tolist()),
         )
 

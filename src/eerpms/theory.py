@@ -41,7 +41,7 @@ class OptimalPlan:
 
 def optimal_cluster_count(area: AreaSpec) -> int:
     """Large-N optimal cluster count: the root of K^3 = 3 pi^2 N / 4, rounded
-    to the nearest integer and clamped to at least 1.
+    to the nearest integer. It is at least 2: N = 1 gives a root of 1.949.
 
     The root solves dE/dK = 0 for `predicted_round_energy` with the head
     distance held at 2R/3 (the limit of `optimal_ch_distance` as N grows).
@@ -50,7 +50,7 @@ def optimal_cluster_count(area: AreaSpec) -> int:
     N = 100, R = 150.
     """
     k = (0.75 * math.pi ** 2 * area.node_count) ** (1.0 / 3.0)
-    return max(1, int(k + 0.5))
+    return int(k + 0.5)
 
 
 def optimal_ch_distance(area: AreaSpec, k: int) -> float:
@@ -129,16 +129,11 @@ def optimal_plan(area: AreaSpec, params: RadioParams) -> OptimalPlan:
     k = optimal_cluster_count(area)
     d = optimal_ch_distance(area, k)
     d_th = distance_threshold(params)
-    if k >= 2:
-        feasible = area.radius_m <= free_space_radius_limit(d_th, k)
-    else:
-        feasible = area.radius_m <= d_th
+    feasible = area.radius_m <= free_space_radius_limit(d_th, k)
     in_band = False
-    if feasible and k >= 2:
+    if feasible:
         lo, hi = feasible_ch_band(area, d_th, k)
         in_band = lo <= d <= hi
-    elif feasible:
-        in_band = d <= d_th
     return OptimalPlan(k_star=k, d_star_m=d, feasible=feasible,
                        d_star_in_band=in_band)
 

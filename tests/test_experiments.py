@@ -182,12 +182,14 @@ class TestAnalyticEnergyGrid:
         assert value == reference_round_energy(AreaSpec(150.0, 100), RadioParams(), 10, 90.9)
 
 
-def reference_forced_energies(xs, ys, radio, k, d_values):
+def reference_forced_energies(xs, ys, radio, k, d_values, angles=None):
     """The forced-placement round energy of one deployment at one K for every
     head distance, as one (D, n) array: the grid's reference, written apart
-    from its blocked kernel."""
+    from its blocked kernel. The grid takes `angles` from `deploy`;
+    `forced_round_energy` takes each point's `arctan2`, the default."""
     bits = radio.packet_bits
-    angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
+    if angles is None:
+        angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
     sector = np.minimum((angles * k / (2.0 * math.pi)).astype(np.int64), k - 1)
     bisector = (sector + 0.5) * (2.0 * math.pi / k)
     d = np.array(d_values, dtype=float)
@@ -195,7 +197,8 @@ def reference_forced_energies(xs, ys, radio, k, d_values):
     hy = np.multiply.outer(d, np.sin(bisector))
     dist = np.hypot(xs - hx, ys - hy)
     d_th = math.sqrt(radio.e_fs / radio.e_mp)
-    amp = np.where(dist <= d_th, radio.e_fs * dist ** 2, radio.e_mp * dist ** 4)
+    amp = np.where(dist <= d_th, radio.e_fs * dist ** 2,
+                   radio.e_mp * ((dist * dist) * (dist * dist)))
     total = np.sum(bits * radio.e_elec + bits * amp, axis=1)
     counts = np.bincount(sector, minlength=k)
     head_to_sink = tx_energy(radio, bits, d)
@@ -208,7 +211,7 @@ def reference_forced_energies(xs, ys, radio, k, d_values):
 
 def deployed_points(area, seed):
     nodes = deploy(area, seed)
-    return np.array([p.x for p in nodes]), np.array([p.y for p in nodes])
+    return tuple(np.array([getattr(p, f) for p in nodes]) for f in ("x", "y", "angle"))
 
 
 class TestSimulatedEnergyGrid:
@@ -232,8 +235,8 @@ class TestSimulatedEnergyGrid:
         expected = []
         for k in k_values:
             total = np.zeros(len(d_values))
-            for xs, ys in deployments:
-                total += reference_forced_energies(xs, ys, radio, k, d_values)
+            for xs, ys, angles in deployments:
+                total += reference_forced_energies(xs, ys, radio, k, d_values, angles)
             expected.extend((k, d, e / len(seeds)) for d, e in zip(d_values, total.tolist()))
         assert experiments.simulated_energy_grid(area, radio, k_values, d_values,
                                                  seeds) == expected
@@ -246,14 +249,14 @@ class TestSimulatedEnergyGrid:
 
     @pytest.mark.parametrize("k, d_ch", [(1, 0.0), (10, 90.0), (7, 87.7), (200, 150.0)])
     def test_forced_round_energy_is_one_cell(self, k, d_ch):
-        xs, ys = deployed_points(AreaSpec(150.0, 100), 2)
+        xs, ys, _ = deployed_points(AreaSpec(150.0, 100), 2)
         radio = NetworkConfig().radio
         value = experiments.forced_round_energy(xs, ys, radio, k, d_ch)
         assert type(value) is float
         assert value == reference_forced_energies(xs, ys, radio, k, [d_ch])[0]
 
     def test_k_below_one_rejected(self):
-        xs, ys = deployed_points(AreaSpec(150.0, 10), 1)
+        xs, ys, _ = deployed_points(AreaSpec(150.0, 10), 1)
         radio = NetworkConfig().radio
         for k in (0, -3):
             with pytest.raises(ValueError, match="k must be at least 1"):
@@ -273,8 +276,9 @@ class TestSimulatedEnergyGrid:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        xs, ys = deployed_points(area, 1)
-        assert rows == [(10**6, 90.0, reference_forced_energies(xs, ys, radio, 10**6, [90.0])[0])]
+        xs, ys, angles = deployed_points(area, 1)
+        assert rows == [(10**6, 90.0,
+                         reference_forced_energies(xs, ys, radio, 10**6, [90.0], angles)[0])]
 
 
 class TestSummaries:

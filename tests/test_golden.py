@@ -118,7 +118,7 @@ SWEEPS = [
     ("k_dch_grid", dict(protocols=[], seeds=[1, 2, 3], sweep_axis="k_dch_grid",
                         k_values=[1, 5, 10], d_values=[0.0, 45.0, 90.5]),
      {"landscape_simulated.csv":
-      "aef7c62dadda789e4cc05f2fc1284814dddc80cd6437180b55bb80000be987d6"}),
+      "336949a58c2f4c372e64a8ff376235dba8b3910c98c4c5677a375c4851f54f3a"}),
 ]
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eerpms import (
     ElectionTerms,
+    Grouping,
     SelectionWeights,
     attribute_score,
     distance_to_ring,
@@ -18,7 +19,7 @@ def elect(labels, dists, residuals, w, initial=0.5, k=None):
     labels = np.asarray(labels)
     k = int(labels.max()) + 1 if k is None else k
     fraction = np.asarray(residuals, dtype=float) / initial
-    terms = ElectionTerms(labels, k, np.asarray(dists, dtype=float), w)
+    terms = ElectionTerms(Grouping(labels, k), np.asarray(dists, dtype=float), w)
     return select_cluster_heads(terms, fraction)
 
 
@@ -187,13 +188,25 @@ class TestSelectClusterHeads:
         fraction = rng.integers(1, levels + 1, size=n) / levels
         dists = rng.choice(np.linspace(0.0, 150.0, levels + 1), size=n)
         w = SelectionWeights(0.7, 0.3, float(rng.choice([0.0, 75.0, 90.0])))
-        terms = ElectionTerms(labels, k, dists, w)
+        grouping = Grouping(labels, k)
+        members = [i for i in sorted(range(n), key=lambda i: (labels[i], i)) if labels[i] >= 0]
+        clusters = sorted(set(labels[members].tolist()))
+        sizes = [int((labels == c).sum()) for c in clusters]
+        assert grouping.ids.tolist() == members
+        assert grouping.clusters.tolist() == clusters
+        assert grouping.sizes.tolist() == sizes
+        assert grouping.starts.tolist() == [sum(sizes[:j]) for j in range(len(sizes))]
+        terms = ElectionTerms(grouping, dists, w)
         expected = lexsort_election(labels, k, fraction, dists, w)
         assert np.array_equal(select_cluster_heads(terms, fraction), expected)
         # the terms are fixed by the clustering: any later energies elect as the reference does
         later = fraction * rng.uniform(0.0, 1.0, size=n)
         assert np.array_equal(select_cluster_heads(terms, later),
                               lexsort_election(labels, k, later, dists, w))
+
+    def test_grouping_rejects_labels_beyond_k(self):
+        with pytest.raises(ValueError, match="labels must lie in -1..k-1"):
+            Grouping(np.array([0, 2, -1]), 2)
 
     def test_head_is_member_and_alive(self):
         rng = np.random.default_rng(0)

@@ -68,6 +68,17 @@ class ReferenceSimulation(Simulation):
         )
 
 
+# id prefix -> overrides of the costing cases; the first keeps its bare protocol id
+COSTING_CASES = {
+    "": dict(seed=6),
+    "n100-seed7-": dict(seed=7),
+    "n1-": dict(seed=8, node_count=1),
+    "n3-": dict(seed=9, node_count=3),
+    "n250-": dict(seed=10, node_count=250),
+    "auto-n60-": dict(seed=11, node_count=60, k_clusters=None, ring_radius_m=None),
+}
+
+
 def alive_heads(sim):
     """Ids of this round's heads that are still alive after it."""
     return {int(h) for h in sim.heads if h >= 0 and sim.alive[h]}
@@ -201,11 +212,15 @@ class TestRoundStructure:
                 assert cluster.member_ids == np.flatnonzero(sim.labels == j).tolist()
                 assert cluster.head_id == (head if head >= 0 else None)
 
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_costing_matches_reference(self, protocol):
+    @pytest.mark.parametrize("protocol, overrides",
+                             [(p, o) for o in COSTING_CASES.values() for p in Protocol],
+                             ids=[f"{name}{p.value}" for name in COSTING_CASES for p in Protocol])
+    def test_costing_matches_reference(self, protocol, overrides):
         # 0.02 J to last death: reclusterings, EERPMS clusters left empty,
-        # RLEACH rounds without a head and deaths in most rounds
-        config = NetworkConfig(protocol=protocol, seed=6, initial_energy_j=0.02)
+        # RLEACH rounds without a head and deaths in most rounds. The
+        # reference counts each head's receptions from the senders, where
+        # the program takes size - 1 from the grouping.
+        config = NetworkConfig(protocol=protocol, initial_energy_j=0.02, **overrides)
         sim, ref = Simulation(config), ReferenceSimulation(config)
         while ref.alive.any():
             assert sim.step() == ref.step()
