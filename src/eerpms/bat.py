@@ -242,7 +242,7 @@ class BatSwarm:
         objectives = evaluate_threshold_sets(
             self.histogram, candidates.reshape(m * pop, dim), self.weights).reshape(m, pop)
 
-        improving = np.flatnonzero(objectives.max(axis=1) > self.best_objective)
+        improving = (objectives.max(axis=1) > self.best_objective).nonzero()[0]
         last = int(improving[0]) if improving.size else m - 1
         np.copyto(self.positions, flights[last], casting="unsafe")
         np.copyto(self.velocities, velocities[last])

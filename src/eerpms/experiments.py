@@ -278,8 +278,7 @@ def simulated_energy_grid(area: AreaSpec, radio: RadioParams, k_values, d_values
     block = max(1, LANDSCAPE_BLOCK // max(1, d.size * area.node_count))
     total = np.zeros((k.size, d.size))
     for nodes in (deploy(area, seed) for seed in seeds):
-        xs, ys = np.array([p.x for p in nodes]), np.array([p.y for p in nodes])
-        angles = np.array([p.angle for p in nodes])
+        xs, ys, _, angles = np.array(list(zip(*nodes))[1:])
         for i in range(0, k.size, block):
             total[i:i + block] += _forced_energies(xs, ys, angles, radio, k[i:i + block], d,
                                                    head_to_sink)
@@ -302,10 +301,8 @@ def _cell_configs(spec: ExperimentSpec) -> list[tuple[str, NetworkConfig]]:
     if spec.sweep_axis == "node_count":
         return [(f"n{n}", spec.base.with_overrides(node_count=n))
                 for n in spec.node_counts]
-    if spec.sweep_axis == "omega1":
-        return [(f"w{w:g}", spec.base.with_overrides(omega1=w, omega2=1.0 - w))
-                for w in spec.omega1_values]
-    raise ConfigError(f"no per-run cells for sweep {spec.sweep_axis!r}")
+    return [(f"w{w:g}", spec.base.with_overrides(omega1=w, omega2=1.0 - w))
+            for w in spec.omega1_values]  # omega1, the last axis with per-run cells
 
 
 def _check_writable(directory: Path) -> None:

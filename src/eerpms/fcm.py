@@ -13,17 +13,18 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     (labels, centers) with labels[i] = argmax membership of point i.
     Requires k <= n and finite coordinates.
 
-    Exactness: each iteration does the floating-point operations of the
-    plain allocating loop (kept as a reference in `tests/test_fcm.py`) in
-    the same order, or ones that round to the same bits, so labels and
-    centers are equal bit for bit. It writes them into (n, k) buffers made
-    once per call: the squared distances (built in `dx`), the new membership
-    and the previous one (the two swap each iteration), and the membership
-    powers (again `dx`, which the distances no longer need by then); `dy`
-    holds the differences for the stopping test. Row sums stay a contiguous
-    (n, k) reduction along axis 1. The powers d2 ** -1 and u ** 2 are taken
-    as a reciprocal and a square, which give the bits of numpy's `power` for
-    those exponents and cost less.
+    Exactness: each iteration does the floating-point operations of the plain
+    allocating loop (kept as a reference in `tests/test_fcm.py`) in the same
+    order, or ones that round to the same bits, so labels and centers are
+    equal bit for bit. It writes them into buffers made once per call: the x
+    and y differences (`dx`, `dy`: two views of one (2, n, k) buffer, filled
+    by one product and one square), the squared distances (built in `dx`), the
+    new membership and the previous one (the two swap each iteration), and the
+    membership powers (again `dx`, which the distances no longer need by
+    then); `dy` holds the differences for the stopping test. Row sums stay a
+    contiguous (n, k) reduction along axis 1. The powers d2 ** -1 and u ** 2
+    are taken as a reciprocal and a square, which give the bits of numpy's
+    `power` for those exponents and cost less.
 
     The point-to-centre differences are the products [x, -1] @ [1, c] (and
     the same in y). Both terms, x * 1 and -1 * c, are exact, so the sum is
@@ -72,17 +73,16 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     centers = b[:, 1]
     centers[:] = points[rng.choice(n, size=k, replace=False)].T
     ones = np.ones((n, 2))
-    dx, dy, membership, previous = (np.empty((n, k)) for _ in range(4))
+    dxy, membership, previous = np.empty((2, n, k)), np.empty((n, k)), np.empty((n, k))
+    dx, dy = dxy
     rowsum = np.empty((n, 1))
     first = True
     # on a center d2 is 0 and 1 / d2 divides by zero; those rows are
     # overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            np.matmul(a[0], b[0], out=dx)
-            np.matmul(a[1], b[1], out=dy)
-            np.multiply(dx, dx, out=dx)
-            np.multiply(dy, dy, out=dy)
+            np.matmul(a, b, out=dxy)
+            np.multiply(dxy, dxy, out=dxy)
             d2 = np.add(dx, dy, out=dx)
             np.reciprocal(d2, out=membership)
             np.add.reduce(membership, axis=1, keepdims=True, out=rowsum)

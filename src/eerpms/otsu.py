@@ -110,7 +110,7 @@ class AngleHistogram:
         rank rb, computed with the elementwise formulas of the direct form.
         """
         rank = np.concatenate(([0], np.cumsum(self.counts > 0)))
-        first = np.flatnonzero(np.diff(rank, prepend=-1))  # one boundary per rank
+        first = np.diff(rank, prepend=-1).nonzero()[0]  # one boundary per rank
         cum_p, cum_ip, cum_counts = self.cum_p[first], self.cum_ip[first], self.cum_counts[first]
         mass = cum_p[None, :] - cum_p[:, None]
         weighted = cum_ip[None, :] - cum_ip[:, None]

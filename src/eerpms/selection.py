@@ -72,12 +72,12 @@ class Grouping:
     def __init__(self, labels, k: int) -> None:
         labels = np.asarray(labels)
         self.k = k
-        self.members = np.flatnonzero(labels >= 0)
+        self.members = (labels >= 0).nonzero()[0]
         self.member_labels = labels[self.members]
         counts = np.bincount(self.member_labels, minlength=k)
         if counts.size > k:
             raise ValueError("labels must lie in -1..k-1")
-        self.clusters = np.flatnonzero(counts)
+        self.clusters = counts.nonzero()[0]
         self.sizes = counts[self.clusters]
 
     @functools.cached_property
@@ -116,7 +116,7 @@ def select_cluster_heads(terms: ElectionTerms, energy_fraction) -> np.ndarray:
     g = terms.grouping
     score = terms.omega1 * energy_fraction[g.ids] + terms.distance_term
     best = np.maximum.reduceat(score, g.starts)
-    top = np.flatnonzero(score == best[terms.group])
+    top = (score == best[terms.group]).nonzero()[0]
     heads = np.full(g.k, -1)
     # members are in id order within a cluster, so its first top score has the lowest id
     heads[g.clusters] = g.ids[top[np.searchsorted(top, g.starts)]]

@@ -22,7 +22,7 @@ from .bat import optimize_thresholds
 from .config import NetworkConfig
 from .fcm import fuzzy_c_means
 from .network import Cluster, ClusterAssignment, Node, Protocol
-from .otsu import ObjectiveWeights, ThresholdSet, build_histogram, materialize_clusters
+from .otsu import ObjectiveWeights, build_histogram, materialize_clusters
 from .radio import aggregation_energy, rx_energy, tx_energy
 from .selection import ElectionTerms, Grouping, SelectionWeights, select_cluster_heads
 from .theory import AreaSpec, optimal_ch_distance
@@ -100,7 +100,8 @@ class Simulation:
     clustering, for costing, election and `assignment`, a per-step cached
     view of the clustering as lists.
 
-    A round (`step`) elects heads, then charges the round (`_transmit`).
+    A round (`step`) takes the alive ids from `alive` once, elects heads with
+    them, then charges the round (`_transmit`).
     RLEACH elects by rotation (`_elect_rleach`); EERPMS and CRPFCM partition
     the alive nodes whenever their count changes (`_recluster`), then elect
     each cluster's head by residual energy and ring proximity.
@@ -119,7 +120,7 @@ class Simulation:
         self.grouping = Grouping(self.labels, 0)
         self.round_index = 0
         self._election: ElectionTerms | None = None
-        self.last_clustered_alive: int | None = None
+        self._alive_ids = np.zeros(0, dtype=np.int64)
         self.clustering_events = 0
         # rx_sums[j]: j receptions added one at a time, as a head pays them
         self._rx_sums = np.concatenate(
@@ -128,23 +129,22 @@ class Simulation:
         self._epoch_len = int(1.0 / self._election_p)
         self._eligible = np.ones(n, dtype=bool)
 
-    def _set_clusters(self, labels, k: int) -> None:
-        """Cluster the alive nodes into `k` clusters: `labels` gives each
-        one's cluster, or -1 for every alive node when there are no clusters.
-        Fixes, until the next clustering (every death triggers one), the
-        grouping, the alive ids, those that send straight to the sink and
-        each served cluster's head cost before its sink link: every head is
-        a member of its cluster, so it receives size - 1 packets."""
+    def _set_clusters(self, alive, labels, k: int) -> None:
+        """Cluster the alive nodes, `alive` from `step()`, into `k` clusters:
+        `labels` gives each one's cluster, or -1 for every alive node when
+        there are no clusters. Fixes, until the next clustering (every death
+        triggers one), the grouping, the alive ids, those that send straight
+        to the sink and each served cluster's head cost before its sink link:
+        every head is a member of its cluster, so it receives size - 1 packets."""
         self.labels[:] = -1
-        self.labels[self.alive] = labels
+        self.labels[alive] = labels
         self.grouping = g = Grouping(self.labels, k)
-        self._alive_ids = np.flatnonzero(self.alive)
-        self._direct = self._alive_ids[self.labels[self._alive_ids] < 0]
+        self._alive_ids = alive
+        self._direct = alive[self.labels[alive] < 0]
         radio = self.config.radio
         self._head_cost = (self._rx_sums[g.sizes - 1]
                            + aggregation_energy(radio, radio.packet_bits, g.sizes))
         self._member_counts = tuple(g.sizes.tolist())  # one tuple shared by its rounds
-        self.last_clustered_alive = self._alive_ids.size
         self.clustering_events += 1
 
     @functools.cached_property
@@ -170,55 +170,52 @@ class Simulation:
     # -- one round -------------------------------------------------------
 
     def step(self) -> RoundMetrics:
-        if not self.alive.any():
+        alive = self.alive.nonzero()[0]
+        if not alive.size:
             raise RuntimeError("no alive nodes left to simulate")
         self.round_index += 1
         self.__dict__.pop("assignment", None)
         if self.config.protocol is Protocol.RLEACH:
-            self._elect_rleach()
+            self._elect_rleach(alive)
         else:
-            # None before the first clustering, which equals no alive count
-            if int(self.alive.sum()) != self.last_clustered_alive:
-                self._recluster()
+            # nodes only die, so a changed count means a death; none clustered at first
+            if alive.size != self._alive_ids.size:
+                self._recluster(alive)
             self.heads = select_cluster_heads(
                 self._election, self.energy / self.config.initial_energy_j)
         return self._transmit()
 
-    def _recluster(self) -> None:
-        """Partition the alive nodes, EERPMS by the bat's angle thresholds and
-        CRPFCM by fuzzy c-means, and fix the election terms until the next
-        reclustering."""
+    def _recluster(self, alive) -> None:
+        """Partition the alive nodes, the ids `alive`, EERPMS by the bat's
+        angle thresholds and CRPFCM by fuzzy c-means, and fix the election
+        terms until the next reclustering."""
         config = self.config
-        alive = int(self.alive.sum())
-        k = min(config.cluster_count(alive), config.bin_count)
+        k = min(config.cluster_count(alive.size), config.bin_count)
         if config.protocol is Protocol.EERPMS:
-            angles = self.angle[self.alive]
+            angles = self.angle[alive]
             hist = build_histogram(angles, config.bin_count)
-            if k == 1:
-                tset = ThresholdSet((), 1)
-            else:
-                bat = replace(config.bat, seed=int(self.rng.integers(0, 2 ** 63)))
-                tset, _ = optimize_thresholds(
-                    hist, k, ObjectiveWeights(config.alpha1, config.alpha2), bat)
+            bat = replace(config.bat, seed=int(self.rng.integers(0, 2 ** 63)))
+            tset, _ = optimize_thresholds(
+                hist, k, ObjectiveWeights(config.alpha1, config.alpha2), bat)
             labels, k_eff = materialize_clusters(angles, tset, config.bin_count), k
         else:
-            k_eff = min(k, alive)
-            points = np.column_stack((self.x[self.alive], self.y[self.alive]))
+            k_eff = min(k, alive.size)
+            points = np.column_stack((self.x[alive], self.y[alive]))
             labels, _ = fuzzy_c_means(points, k_eff, self.rng)
-        self._set_clusters(labels, k_eff)
+        self._set_clusters(alive, labels, k_eff)
         ring = config.ring_radius_m if config.ring_radius_m is not None \
-            else optimal_ch_distance(AreaSpec(config.radius_m, alive), k)
+            else optimal_ch_distance(AreaSpec(config.radius_m, alive.size), k)
         self._election = ElectionTerms(self.grouping, self.d_bs,
                                        SelectionWeights(config.omega1, config.omega2, ring))
 
-    def _elect_rleach(self) -> None:
+    def _elect_rleach(self, alive) -> None:
         r = self.round_index - 1
         if r % self._epoch_len == 0:
             self._eligible[:] = True
         p = self._election_p
         threshold_base = p / (1.0 - p * (r % self._epoch_len))
         # one draw per alive, eligible node, in id order
-        candidates = np.flatnonzero(self.alive & self._eligible)
+        candidates = alive[self._eligible[alive]]
         threshold = threshold_base * (self.energy[candidates] / self.config.initial_energy_j)
         heads = candidates[self.rng.random(candidates.size) < threshold]
         self._eligible[heads] = False
@@ -226,12 +223,11 @@ class Simulation:
             # each alive node joins its nearest head, the first listed among
             # equals; a head joins its own cluster (distance 0) unless an earlier
             # head shares its position, and then no node joins it
-            alive = np.flatnonzero(self.alive)
             labels = np.argmin(np.hypot(self.x[alive, None] - self.x[heads],
                                         self.y[alive, None] - self.y[heads]), axis=1)
         else:
             labels = -1  # no heads: every alive node sends straight to the sink
-        self._set_clusters(labels, heads.size)
+        self._set_clusters(alive, labels, heads.size)
         self.heads = heads
 
     def _transmit(self) -> RoundMetrics:

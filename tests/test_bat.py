@@ -109,6 +109,11 @@ class TestOptimizeThresholds:
         assert t.thresholds == ()
         assert v == pytest.approx(objective_f1(h, t, HALF))
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError) as info:
+            optimize_thresholds(toy_histogram(), 0, HALF, BatParams(seed=1))
+        assert str(info.value) == "k must be at least 1"
+
     def test_deterministic_per_seed(self):
         h = toy_histogram(3)
         a = optimize_thresholds(h, 3, HALF, BatParams(seed=77))
@@ -431,3 +436,13 @@ class TestBatParamsValidation:
     def test_bad_pulse(self):
         with pytest.raises(ValueError):
             BatParams(pulse0=1.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iterations", 0, "max_iterations must be at least 1"),
+        ("loudness0", 0.0, "loudness0 must be positive"),
+        ("gamma_rate", 0.0, "gamma_rate must be positive"),
+    ], ids=["max-iterations-zero", "loudness0-zero", "gamma-rate-zero"])
+    def test_out_of_range_named(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            BatParams(**{field: value})
+        assert str(info.value) == message

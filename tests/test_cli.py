@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from eerpms import Protocol
+from eerpms import Protocol, cli
 from eerpms.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -88,6 +88,23 @@ class TestSimulate:
                                str(tmp_path / "absent.ini"))
         assert code == 1
         assert "error" in err
+
+    def test_malformed_config_file_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("node_count = 5\n")  # a key before any section header
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert f"error: malformed config file {path}: " in err
+        assert out == ""
+
+    def test_runtime_failure_exits_two(self, capsys, tmp_path, monkeypatch):
+        def fail(config):
+            raise RuntimeError("simulated fault")
+        monkeypatch.setattr(cli, "run_simulation", fail)
+        code, out, err = run_cli(capsys, "simulate", "--out", str(tmp_path))
+        assert code == 2
+        assert err == "runtime failure: simulated fault\n"
+        assert out == ""
 
     def test_bad_flag_value_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--protocol", "FIGWO")
@@ -305,6 +322,16 @@ class TestVerify:
         assert "[wedge-mc]" in out
         assert re.search(r"\[landscape\] analytic argmin: K=\d+", out)
         assert "[coverage]" in out
+
+    def test_coverage_skipped_beyond_free_space_limit(self, capsys, tmp_path):
+        # K* = 5 at N = 20, whose free-space radius limit is about 142 m
+        config = tmp_path / "wide.ini"
+        config.write_text("[network]\nradius_m = 200\nnode_count = 20\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--seeds", "1", "--mc-samples", "2000", "--histograms", "1")
+        assert code == 0
+        assert "[coverage] skipped: R=200 exceeds the free-space limit for K=5" in out
 
     @pytest.mark.parametrize("flag", ["--seeds", "--mc-samples", "--histograms"])
     def test_count_below_one_is_config_error(self, capsys, tmp_path, flag):

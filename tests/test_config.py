@@ -114,6 +114,24 @@ def test_value_ranges_validated():
         NetworkConfig(max_rounds=0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(alpha1=1.5, alpha2=-0.5), "alpha1/alpha2 must lie in [0, 1]"),
+    (dict(omega1=-0.25, omega2=1.25), "omega1/omega2 must lie in [0, 1]"),
+    (dict(bin_count=1), "bin_count must be at least 2"),
+], ids=["alpha-pair", "omega-pair", "bin-count-one"])
+def test_out_of_range_named(fields, message):
+    with pytest.raises(ConfigError) as info:
+        NetworkConfig(**fields)
+    assert str(info.value) == message
+
+
+def test_malformed_file_rejected(tmp_path):
+    path = write(tmp_path, "node_count = 5\n")  # a key before any section header
+    with pytest.raises(ConfigError) as info:
+        load_network_config(path)
+    assert str(info.value).startswith(f"malformed config file {path}: ")
+
+
 def test_negative_seed_rejected(tmp_path):
     NetworkConfig(seed=0)  # numpy accepts 0, so it is a valid seed
     with pytest.raises(ConfigError, match="seed"):

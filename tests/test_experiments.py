@@ -362,6 +362,19 @@ class TestSpecFile:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("lines, message", [
+        ("sweep = node_count", "node_count sweep needs a non-empty node_counts list"),
+        ("sweep = k_dch_grid\nd_values = 0", "k_dch_grid sweep needs k_values and d_values"),
+        ("sweep = k_dch_grid\nk_values = 1", "k_dch_grid sweep needs k_values and d_values"),
+        ("protocols =", "at least one protocol is required"),
+    ], ids=["node-count-no-list", "grid-no-k", "grid-no-d", "no-protocols"])
+    def test_incomplete_spec_named(self, tmp_path, lines, message):
+        spec_file = tmp_path / "exp.ini"
+        spec_file.write_text(f"[experiment]\n{lines}\n")
+        with pytest.raises(ConfigError) as info:
+            load_experiment_spec(spec_file)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lines, message", [
         # both points print as w0.3 under :g
         ("sweep = omega1\nomega1_values = 0.3, 0.3000001",
          "omega1 sweep points share output names: ['w0.3', 'w0.3']"),

@@ -69,6 +69,10 @@ GOLDEN = [
     ("tiny-n3", C, TINY,
      "2fc881d7d3e683a23a9b5b1d26c115d2f3b60e3d791dd48896805f95f129f517",
      "ea4c696599ecd58d12e417654c4f0073e9d0fdb07992236091987b207cc0228d"),
+    # k = 1 for the whole run: the bat returns the empty threshold set unsearched
+    ("k1-n60", E, dict(node_count=60, seed=4, k_clusters=1, initial_energy_j=0.05),
+     "fb7b2fdb3e3ce2df205d177ff19bdcf9e0788ce9ed29e9d64c3a9eb0fc69647b",
+     "809aa094c51310a7a561adf29cc5f4c0aa11c196db880e76d40294f593acba03"),
     ("n250-b360", E, dict(LARGE, node_count=250, bin_count=360),
      "fbbfedfa07c2b919e21afe59fecf4f34cf06fc484c419f6a9c42efd3ececec93",
      "a364644a01a31b6ba5bd5bfc52600947867ba9706ae3da498fdb1a9324ad986f"),

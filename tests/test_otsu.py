@@ -505,3 +505,26 @@ class TestThresholdSetValidation:
         t.validate_for(360)
         with pytest.raises(ValueError):
             t.validate_for(300)
+
+
+ONE_BIN = AngleHistogram([3])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ThresholdSet((), 0), "k must be at least 1"),
+    (lambda: ThresholdSet((1, 2), 3).validate_for(2), "more segments than bins"),
+    (lambda: AngleHistogram([[1, 2]]), "counts must be a non-empty 1-D sequence"),
+    (lambda: AngleHistogram([]), "counts must be a non-empty 1-D sequence"),
+    (lambda: AngleHistogram([2, -1]), "counts must be non-negative"),
+    (lambda: AngleHistogram([0, 0]), "histogram is empty"),
+    (lambda: build_histogram([1.0], 0), "bin_count must be at least 1"),
+    (lambda: evaluate_threshold_sets(ONE_BIN, [1], HALF), "expected a 2-D threshold matrix"),
+    (lambda: exhaustive_best_threshold(ONE_BIN, 0, HALF), "k must be at least 1"),
+    (lambda: exhaustive_best_threshold(ONE_BIN, 2, HALF), "more segments than bins"),
+], ids=["threshold-set-k-zero", "segments-beyond-bins", "counts-2d", "counts-empty",
+        "counts-negative", "counts-all-zero", "bin-count-zero", "matrix-1d",
+        "exhaustive-k-zero", "exhaustive-k-beyond-bins"])
+def test_invalid_input_named(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

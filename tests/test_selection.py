@@ -227,3 +227,9 @@ class TestWeightsValidation:
     def test_negative_ring_rejected(self):
         with pytest.raises(ValueError):
             SelectionWeights(0.5, 0.5, -1.0)
+
+    @pytest.mark.parametrize("omega1, omega2", [(1.5, -0.5), (-0.5, 1.5)])
+    def test_weight_outside_unit_interval_rejected(self, omega1, omega2):
+        with pytest.raises(ValueError) as info:
+            SelectionWeights(omega1, omega2, 90.0)
+        assert str(info.value) == "weights must lie in [0, 1]"

@@ -229,3 +229,31 @@ class TestOptimalPlan:
         plan = optimal_plan(AreaSpec(80.0, 100), RADIO)
         assert plan.feasible is True
         assert plan.d_star_in_band is True
+
+
+class TestSectorCoverageViolations:
+    # a 1 m sector: every point lies within 6 m of a head at 5 m and at least
+    # 19 m from a head at 20 m, so with d_th = 10 m none or all of them violate
+    @pytest.mark.parametrize("d_ch, expected", [(5.0, 0), (20.0, 1000 + 1)],
+                             ids=["head-within", "head-beyond"])
+    def test_head_beyond_threshold_counts_once(self, d_ch, expected):
+        rng = np.random.default_rng(0)
+        assert sector_coverage_violations(1.0, 9, 10.0, d_ch, 1000, rng) == expected
+
+
+AREA = AreaSpec(150.0, 100)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AreaSpec(0.0, 100), "radius_m must be strictly positive"),
+    (lambda: AreaSpec(math.nan, 100), "radius_m must be strictly positive"),
+    (lambda: AreaSpec(150.0, 0), "node_count must be at least 1"),
+    (lambda: optimal_ch_distance(AREA, 0), "k must be at least 1"),
+    (lambda: feasible_ch_band(AREA, D_TH, 1), "k must be at least 2"),
+    (lambda: predicted_round_energy(AREA, RADIO, 0, 90.0), "k must be at least 1"),
+], ids=["radius-zero", "radius-nan", "node-count-zero", "ch-distance-k-zero",
+        "band-k-one", "round-energy-k-zero"])
+def test_invalid_input_named(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
