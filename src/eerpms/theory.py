@@ -9,6 +9,7 @@ quantities are provided as independent checks of the closed forms.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -140,38 +141,126 @@ def optimal_plan(area: AreaSpec, params: RadioParams) -> OptimalPlan:
 
 # --- Monte-Carlo counterparts -------------------------------------------------
 
+#: Most samples a Monte Carlo sampler draws, transforms and reduces at once.
+MC_BLOCK = 1 << 14
+
+
 def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
                          rng: np.random.Generator) -> float:
     """Sampling estimate of the mean squared member-to-head distance over the
-    triangular wedge {0 <= x <= R, |y| <= x tan(pi/k)}, uniform density."""
+    triangular wedge {0 <= x <= R, |y| <= x tan(pi/k)}, uniform density.
+
+    Bit for bit the mean of the allocating form: x = R sqrt(u) over
+    `rng.random(samples)`, y = (2v - 1) x tan(pi/k) over the next `samples`
+    draws (the values and stream of `uniform(-1, 1)`), then
+    `np.mean((x - d_ch)**2 + y**2)`, leaving `rng` where that form leaves
+    it. The samples are drawn, transformed and summed in place in blocks of
+    at most `MC_BLOCK`, so memory does not grow with `samples`: v comes from
+    a copy of the bit generator advanced by `samples`, and the blocks are
+    the leaves of numpy's pairwise summation tree (`_pairwise_sum`). `rng`
+    must draw from PCG64 or PCG64DXSM, whose `advance` skips exactly one
+    double draw per step."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    lateral = _second_stream(samples, rng)
     tan_half = math.tan(math.pi / k)
-    # radius_m * sqrt(u) and (2v - 1) * x * tan_half (2v is exact: uniform(-1, 1)'s
-    # values and stream), then (x - d_ch)**2 + y**2, in place in the two buffers
-    x = rng.random(samples)
-    np.sqrt(x, out=x)
-    x *= radius_m
-    y = rng.random(samples)
-    y *= 2.0
-    y -= 1.0
-    y *= x
-    y *= tan_half
-    x -= d_ch
-    np.square(x, out=x)
-    np.square(y, out=y)
-    x += y
-    return float(np.mean(x))
+    x_block = np.empty(min(samples, MC_BLOCK))
+    y_block = np.empty_like(x_block)
+
+    def block_sum(n: int) -> float:
+        x = rng.random(out=x_block[:n])
+        np.sqrt(x, out=x)
+        x *= radius_m
+        y = lateral.random(out=y_block[:n])
+        y *= 2.0
+        y -= 1.0
+        y *= x
+        y *= tan_half
+        x -= d_ch
+        np.square(x, out=x)
+        np.square(y, out=y)
+        x += y
+        return float(np.add.reduce(x))
+
+    total = _pairwise_sum(samples, block_sum)
+    _skip(samples, rng)
+    return total / samples
 
 
 def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float,
                                samples: int, rng: np.random.Generator) -> int:
     """Count sampled sector points farther than `d_th` from a head placed on
     the bisector at distance `d_ch`; adds one if the head itself is farther
-    than `d_th` from the sink."""
+    than `d_th` from the sink.
+
+    The points are r = R sqrt(u) over `rng.random(samples)` and
+    phi = `uniform(-pi/k, pi/k)` over the next `samples` draws, the count
+    and the final state of `rng` those of drawing both at once. They are
+    drawn and tested in the blocks of `wedge_sq_distance_mc`, phi from a
+    copy of the bit generator advanced by `samples`; the count is an
+    integer sum, so any order of the blocks would do. `rng` must draw from
+    PCG64 or PCG64DXSM."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    angles = _second_stream(samples, rng)
     half = math.pi / k
-    r = radius_m * np.sqrt(rng.random(samples))
-    phi = rng.uniform(-half, half, samples)
-    d = np.hypot(r * np.cos(phi) - d_ch, r * np.sin(phi))
-    violations = int(np.sum(d > d_th))
+    r_block = np.empty(min(samples, MC_BLOCK))
+    x_block = np.empty_like(r_block)
+
+    def block_count(n: int) -> int:
+        r = rng.random(out=r_block[:n])
+        np.sqrt(r, out=r)
+        r *= radius_m
+        phi = angles.uniform(-half, half, n)
+        x = np.cos(phi, out=x_block[:n])
+        x *= r
+        x -= d_ch
+        y = np.sin(phi, out=phi)
+        y *= r
+        return int(np.count_nonzero(np.hypot(x, y, out=x) > d_th))
+
+    violations = _pairwise_sum(samples, block_count)
+    _skip(samples, rng)
     if d_ch > d_th:
         violations += 1
     return violations
+
+
+def _second_stream(samples: int, rng: np.random.Generator) -> np.random.Generator:
+    """A generator on a copy of `rng`'s bit generator advanced by `samples`
+    draws: where a second `rng.random(samples)` would start. Checks the
+    sample count and the bit generator before anything is drawn."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValueError("rng must draw from a PCG64 or PCG64DXSM bit generator")
+    ahead = copy.deepcopy(bits)
+    ahead.advance(samples)
+    return np.random.Generator(ahead)
+
+
+def _skip(samples: int, rng: np.random.Generator) -> None:
+    """Advance `rng` past `samples` double draws. `advance` also drops the
+    buffered half of a 32-bit draw, which double draws keep, so it is put
+    back."""
+    bits = rng.bit_generator
+    state = bits.state
+    bits.advance(samples)
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"],
+                  "uinteger": state["uinteger"]}
+
+
+def _pairwise_sum(n: int, leaf):
+    """The sum of n terms in the order `np.add.reduce` adds one contiguous
+    array of them, where `leaf(m)` sums the next m terms (m <= MC_BLOCK).
+
+    numpy cuts a run of more than 128 terms into two halves at
+    n//2 - n//2 % 8 (`otsu._sum_segments`); above `MC_BLOCK` this makes the
+    same cut, left half first, so each leaf is one of numpy's subtrees.
+    Each leaf's reduction starts from +0.0 again, which changes no sum of
+    non-negative terms."""
+    if n <= MC_BLOCK:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, leaf) + _pairwise_sum(n - half, leaf)

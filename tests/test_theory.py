@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from eerpms import (
     sector_coverage_violations,
     wedge_sq_distance_mc,
 )
+from eerpms.theory import MC_BLOCK
 
 RADIO = RadioParams()
 D_TH = distance_threshold(RADIO)
@@ -257,3 +260,102 @@ def test_invalid_input_named(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# --- Monte Carlo samplers in blocks ---------------------------------------------
+
+def wedge_allocating(radius_m, k, d_ch, samples, rng):
+    # the sampler's body before it drew in blocks: both streams at once
+    tan_half = math.tan(math.pi / k)
+    x = radius_m * np.sqrt(rng.random(samples))
+    y = rng.uniform(-1.0, 1.0, samples) * x * tan_half
+    return float(np.mean((x - d_ch) ** 2 + y ** 2))
+
+
+def sector_allocating(radius_m, k, d_th, d_ch, samples, rng):
+    half = math.pi / k
+    r = radius_m * np.sqrt(rng.random(samples))
+    phi = rng.uniform(-half, half, samples)
+    d = np.hypot(r * np.cos(phi) - d_ch, r * np.sin(phi))
+    return int(np.sum(d > d_th)) + (1 if d_ch > d_th else 0)
+
+
+def generators(seed):
+    # both bit generators the samplers accept; the second with the buffered
+    # half of a 32-bit draw, which `advance` alone would drop
+    dxsm = np.random.Generator(np.random.PCG64DXSM(seed))
+    dxsm.integers(0, 2, dtype=np.int32)
+    return [np.random.default_rng(seed), dxsm]
+
+
+BLOCK_EDGES = [1, 7, 8, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 7, 1_000_003]
+
+
+@pytest.mark.parametrize("samples", BLOCK_EDGES)
+@pytest.mark.parametrize("seed, k, d", [(1, 9, 0.0), (2, 10, 90.0), (3, 3, 150.0)])
+def test_wedge_blocks_equal_allocating_form(samples, seed, k, d):
+    for rng in generators(seed):
+        expected_rng = copy.deepcopy(rng)
+        assert wedge_sq_distance_mc(150.0, k, d, samples, rng) == \
+            wedge_allocating(150.0, k, d, samples, expected_rng)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("samples", BLOCK_EDGES)
+@pytest.mark.parametrize("seed, k, d_ch", [(1, 9, 80.0), (2, 10, 120.0)],
+                         ids=["head-within", "head-beyond"])
+def test_coverage_blocks_equal_allocating_form(samples, seed, k, d_ch):
+    for rng in generators(seed):
+        expected_rng = copy.deepcopy(rng)
+        assert sector_coverage_violations(150.0, k, D_TH, d_ch, samples, rng) == \
+            sector_allocating(150.0, k, D_TH, d_ch, samples, expected_rng)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sample", [
+    lambda rng: wedge_sq_distance_mc(150.0, 9, 90.0, 1_000_000, rng),
+    lambda rng: sector_coverage_violations(150.0, 9, D_TH, 80.0, 1_000_000, rng),
+], ids=["wedge", "coverage"])
+def test_sampler_memory_does_not_grow_with_samples(sample):
+    # 10**6 samples in the allocating forms peaked at 15.3 MiB (wedge) and
+    # 38.1 MiB (coverage); in blocks of at most 2**14 at 0.25 and 0.39 MiB
+    rng = np.random.default_rng(7)
+    sample(rng)
+    tracemalloc.start()
+    try:
+        sample(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+NOT_EXACT = "rng must draw from a PCG64 or PCG64DXSM bit generator"
+
+
+@pytest.mark.parametrize("call, bits, error, message", [
+    (lambda rng: wedge_sq_distance_mc(150.0, 9, 90.0, 0, rng), np.random.PCG64,
+     ValueError, "samples must be at least 1"),
+    (lambda rng: wedge_sq_distance_mc(150.0, 9, 90.0, -1, rng), np.random.PCG64,
+     ValueError, "samples must be at least 1"),
+    (lambda rng: sector_coverage_violations(150.0, 9, D_TH, 80.0, 0, rng), np.random.PCG64,
+     ValueError, "samples must be at least 1"),
+    (lambda rng: wedge_sq_distance_mc(150.0, 1, 90.0, 1000, rng), np.random.PCG64,
+     ValueError, "k must be at least 2"),
+    (lambda rng: sector_coverage_violations(150.0, 0, D_TH, 80.0, 1000, rng), np.random.PCG64,
+     ValueError, "k must be at least 1"),
+    (lambda rng: wedge_sq_distance_mc(150.0, 9, 90.0, 1000, rng), np.random.Philox,
+     ValueError, NOT_EXACT),
+    (lambda rng: wedge_sq_distance_mc(150.0, 9, 90.0, 1000, rng), np.random.MT19937,
+     ValueError, NOT_EXACT),
+    (lambda rng: sector_coverage_violations(150.0, 9, D_TH, 80.0, 1000, rng), np.random.SFC64,
+     ValueError, NOT_EXACT),
+], ids=["wedge-samples-zero", "wedge-samples-negative", "coverage-samples-zero",
+        "wedge-k-one", "coverage-k-zero", "wedge-philox", "wedge-mt19937", "coverage-sfc64"])
+def test_sampler_rejects_bad_input_before_drawing(call, bits, error, message):
+    rng = np.random.Generator(bits(11))
+    state = rng.bit_generator.state
+    with pytest.raises(error) as info:
+        call(rng)
+    assert str(info.value) == message
+    assert repr(rng.bit_generator.state) == repr(state)
