@@ -6,7 +6,6 @@ from .config import ConfigError, NetworkConfig, load_network_config
 from .experiments import (
     ExperimentSpec,
     analytic_energy_grid,
-    forced_round_energy,
     grid_argmin,
     load_experiment_spec,
     run_experiment,
@@ -14,7 +13,7 @@ from .experiments import (
     summarize_lifetime,
 )
 from .fcm import fuzzy_c_means
-from .network import Cluster, ClusterAssignment, Node, Protocol
+from .network import Protocol
 from .otsu import (
     AngleHistogram,
     ObjectiveWeights,
@@ -22,11 +21,7 @@ from .otsu import (
     build_histogram,
     evaluate_threshold_sets,
     exhaustive_best_threshold,
-    f1_angle_variance,
-    f2_count_variance,
     materialize_clusters,
-    objective_f1,
-    segment_stats,
 )
 from .radio import (
     RadioParams,
@@ -35,19 +30,17 @@ from .radio import (
     rx_energy,
     tx_energy,
 )
-from .selection import ElectionTerms, Grouping, SelectionWeights, attribute_score, \
-    distance_to_ring, select_cluster_heads
+from .selection import ElectionTerms, Grouping, SelectionWeights, distance_to_ring, \
+    select_cluster_heads
 from .simulation import (
     LifetimeSummary,
     RoundMetrics,
     Simulation,
-    SimulationResult,
     deploy,
     run_simulation,
 )
 from .theory import (
     AreaSpec,
-    OptimalPlan,
     expected_sq_member_distance,
     feasible_ch_band,
     free_space_radius_limit,

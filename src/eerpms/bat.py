@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # the clip ufunc itself: np.clip wraps it in argument handling
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
+# the clip ufunc itself: np.clip wraps it in argument handling
+from numpy._core.umath import clip as _clip
 
-from .otsu import AngleHistogram, ObjectiveWeights, ThresholdSet, \
-    evaluate_threshold_sets, objective_f1
+from .otsu import AngleHistogram, ObjectiveWeights, ThresholdSet, evaluate_threshold_sets
 
 
 @dataclass(frozen=True)
@@ -272,6 +269,6 @@ def optimize_thresholds(h: AngleHistogram, k: int, w: ObjectiveWeights,
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
-        t = ThresholdSet((), 1)
-        return t, objective_f1(h, t, w)
+        single = evaluate_threshold_sets(h, np.zeros((1, 0), np.int64), w)
+        return ThresholdSet((), 1), float(single[0])
     return BatSwarm(h, k, w, bp).run()

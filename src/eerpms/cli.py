@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
     ak, ad, ae = grid_argmin(analytic)
     print(f"[landscape] analytic argmin: K={ak} d={ad:g} energy={ae:.6g} J")
     d_coarse = [10.0 * i for i in range(0, 16)]
-    seeds = list(range(1, args.seeds + 1))
+    seeds = range(1, args.seeds + 1)
     simulated = simulated_energy_grid(area, radio, k_values, d_coarse, seeds)
     write_landscape_csv(out_dir / "landscape_simulated.csv", simulated)
     sk, sd, se = grid_argmin(simulated)

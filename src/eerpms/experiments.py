@@ -219,11 +219,18 @@ def analytic_energy_grid(area: AreaSpec, radio: RadioParams, k_values,
 
 def _forced_energies(xs: np.ndarray, ys: np.ndarray, angles: np.ndarray, radio: RadioParams,
                      k: np.ndarray, d: np.ndarray, head_to_sink: np.ndarray) -> np.ndarray:
-    """`forced_round_energy` of one deployment, its angles in [0, 2 pi) given,
-    as a (K, distance) array: member costs summed along the rows of a
-    (K, distance, node) array, then each K's sector sizes (run lengths of its
-    sorted sectors) in ascending sector order, zeros where a K has fewer.
-    d^4 is (d*d)*(d*d), whose bits, unlike `** 4`'s, no CPU dispatch changes."""
+    """One round's energy of one deployment, its angles in [0, 2 pi) given,
+    with k equal angular sectors and each sector's head forced onto the
+    bisector at distance d from the sink, as a (K, distance) array.
+
+    Costs mirror the idealized-cluster accounting that the closed form
+    integrates: every member transmits to its sector's head position, the
+    head receives one packet per other member, fuses the sector's readings
+    and forwards a single packet to the sink. Empty sectors cost nothing.
+    Member costs are summed along the rows of a (K, distance, node) array,
+    then each K's sector sizes (run lengths of its sorted sectors) added in
+    ascending sector order, zeros where a K has fewer. d^4 is (d*d)*(d*d),
+    whose bits, unlike `** 4`'s, no CPU dispatch changes."""
     if k.min() < 1:
         raise ValueError("k must be at least 1")
     bits = radio.packet_bits
@@ -249,22 +256,6 @@ def _forced_energies(xs: np.ndarray, ys: np.ndarray, angles: np.ndarray, radio: 
         total += fused[:, j, None]
         total += sink[:, j]
     return total
-
-
-def forced_round_energy(xs: np.ndarray, ys: np.ndarray, radio: RadioParams,
-                        k: int, d_ch: float) -> float:
-    """One round's energy with k equal angular sectors and each sector's head
-    forced onto the bisector at distance `d_ch` from the sink.
-
-    Costs mirror the idealized-cluster accounting that the closed form
-    integrates: every member transmits to its sector's head position, the
-    head receives one packet per other member, fuses the sector's readings
-    and forwards a single packet to the sink. Empty sectors cost nothing.
-    """
-    d = np.array([float(d_ch)])
-    angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
-    return float(_forced_energies(xs, ys, angles, radio, np.array([int(k)]), d,
-                                  tx_energy(radio, radio.packet_bits, d))[0, 0])
 
 
 def simulated_energy_grid(area: AreaSpec, radio: RadioParams, k_values, d_values,

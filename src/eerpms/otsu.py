@@ -95,9 +95,6 @@ class AngleHistogram:
         self.variance = float(np.sum(p * (idx - self.mean) ** 2))
         self._f2_terms: dict[int, np.ndarray] = {}
 
-    def __repr__(self) -> str:
-        return f"AngleHistogram(bins={self.bin_count}, total={self.total})"
-
     @functools.cached_property
     def segment_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every segment's f1 term and node count, for lookup by boundary rank.
@@ -107,7 +104,8 @@ class AngleHistogram:
         empty bins (each adds 0.0), so boundaries of equal rank give equal
         segment statistics. Entry [ra * width + rb] of the flat (width**2,)
         tables, width = occupied bins + 1, holds the segment from rank ra to
-        rank rb, computed with the elementwise formulas of the direct form.
+        rank rb: its f1 term w * (u - mean)**2, from its probability mass w
+        and mean bin index u (0 for an empty segment), and its node count.
         """
         rank = np.concatenate(([0], np.cumsum(self.counts > 0)))
         first = np.diff(rank, prepend=-1).nonzero()[0]  # one boundary per rank
@@ -147,59 +145,17 @@ def build_histogram(angles, bin_count: int) -> AngleHistogram:
     return AngleHistogram(np.bincount(bins, minlength=bin_count))
 
 
-def _bounds(t: ThresholdSet, bin_count: int) -> tuple[int, ...]:
-    return (0, *t.thresholds, bin_count)
-
-
-def segment_stats(h: AngleHistogram, t: ThresholdSet) -> list[tuple[float, float, int]]:
-    """Per-segment (probability mass, mean bin index, node count).
-
-    The mean of an empty segment is 0 by convention.
-    """
-    t.validate_for(h.bin_count)
-    out = []
-    bounds = _bounds(t, h.bin_count)
-    for a, b in itertools.pairwise(bounds):
-        w = float(h.cum_p[b] - h.cum_p[a])
-        s = float(h.cum_ip[b] - h.cum_ip[a])
-        nc = int(h.cum_counts[b] - h.cum_counts[a])
-        out.append((w, s / w if w > 0 else 0.0, nc))
-    return out
-
-
-def f1_angle_variance(h: AngleHistogram, t: ThresholdSet) -> float:
-    """Between-segment variance of mean bin indices, weighted by mass."""
-    stats = segment_stats(h, t)
-    u_t = sum(w * u for w, u, _ in stats)
-    return sum(w * (u - u_t) ** 2 for w, u, _ in stats)
-
-
-def f2_count_variance(h: AngleHistogram, t: ThresholdSet) -> float:
-    """Mean squared deviation of segment populations from the even split,
-    normalized by the node total. Zero means perfectly balanced segments."""
-    stats = segment_stats(h, t)
-    target = h.total / t.k
-    return sum((nc - target) ** 2 for _, _, nc in stats) / h.total
-
-
-def objective_f1(h: AngleHistogram, t: ThresholdSet, w: ObjectiveWeights) -> float:
-    """Composite clustering objective in [0, 1]; higher is better.
-
-    The angle term is the between-segment variance divided by the total
-    histogram variance (0 when the histogram is degenerate); the balance
-    term is 1/(1 + f2) so that maximizing it minimizes the population
-    variance.
-    """
-    f1 = f1_angle_variance(h, t)
-    f2 = f2_count_variance(h, t)
-    f1_norm = f1 / h.variance if h.variance > 0 else 0.0
-    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
-
-
 def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
                             w: ObjectiveWeights) -> np.ndarray:
-    """Vectorized objective over a (batch, k-1) matrix of sorted thresholds,
-    read from the histogram's segment table.
+    """The composite clustering objective, in [0, 1] and higher is better,
+    of each row of a (batch, k-1) matrix of sorted thresholds, read from the
+    histogram's segment table.
+
+    The angle term f1 is the between-segment variance of mean bin indices,
+    weighted by mass, over the total histogram variance (0 when the
+    histogram is degenerate). The balance term is 1/(1 + f2), f2 the mean
+    squared deviation of segment populations from the even split total/k,
+    normalized by the total, so maximizing it evens out the populations.
 
     Every row must be a valid threshold set for the histogram, strictly
     increasing within [1, bin_count - 1], as `ThresholdSet` and `validate_for`
@@ -309,8 +265,8 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
     if k > h.bin_count:
         raise ValueError("more segments than bins")
     if k == 1:
-        t = ThresholdSet((), 1)
-        return t, objective_f1(h, t, w)
+        single = evaluate_threshold_sets(h, np.zeros((1, 0), np.int64), w)
+        return ThresholdSet((), 1), float(single[0])
     n_combos = math.comb(h.bin_count - 1, k - 1)
     if n_combos > EXHAUSTIVE_CAP:
         raise ValueError(

@@ -38,27 +38,14 @@ def distance_to_ring(node_bs_distance, ring_radius: float):
 
 
 def _distance_term(ring_d, cluster_min_d, cluster_max_d):
+    """The ring-proximity term in [0, 1] of a candidate at distance `ring_d`
+    from the ring, whose cluster's members lie between `cluster_min_d` and
+    `cluster_max_d` from it. When they coincide (singleton or equidistant
+    cluster) every member is positionally optimal and the term is 1."""
     gap = np.subtract(cluster_max_d, ring_d)
     spread = np.subtract(cluster_max_d, cluster_min_d)
     return np.divide(gap, spread, out=np.ones(np.broadcast(gap, spread).shape),
                      where=spread != 0)
-
-
-def attribute_score(energy_fraction, ring_d, cluster_min_d, cluster_max_d,
-                    w: SelectionWeights):
-    """Head-election score in [0, 1]; higher is better. Takes floats or
-    equal-length arrays, one entry per candidate.
-
-    `energy_fraction` is residual over initial energy and `ring_d` the
-    candidate's distance to the ring. `cluster_min_d`/`cluster_max_d` are
-    the smallest and largest ring distances among the candidate's cluster.
-    When they coincide (singleton or equidistant cluster) every member is
-    positionally optimal and the distance term is 1.
-    """
-    if np.any(np.greater(cluster_min_d, cluster_max_d)):
-        raise ValueError("cluster_min_d must not exceed cluster_max_d")
-    distance_term = _distance_term(ring_d, cluster_min_d, cluster_max_d)
-    return w.omega1 * energy_fraction + w.omega2 * distance_term
 
 
 class Grouping:
@@ -107,7 +94,8 @@ class ElectionTerms:
 
 
 def select_cluster_heads(terms: ElectionTerms, energy_fraction) -> np.ndarray:
-    """Elect the highest-scoring member of each of the grouping's k clusters.
+    """Elect the highest-scoring member of each of the grouping's k clusters,
+    by the attribute score omega1 * energy fraction + omega2 * distance term.
 
     `energy_fraction` holds residual over initial energy, one entry per
     node. Returns each cluster's head id, -1 for an empty cluster. Ties

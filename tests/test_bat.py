@@ -13,7 +13,6 @@ from eerpms import (
     ObjectiveWeights,
     ThresholdSet,
     exhaustive_best_threshold,
-    objective_f1,
     optimize_thresholds,
 )
 from eerpms import bat
@@ -107,7 +106,7 @@ class TestOptimizeThresholds:
         h = toy_histogram()
         t, v = optimize_thresholds(h, 1, HALF, BatParams(seed=1))
         assert t.thresholds == ()
-        assert v == pytest.approx(objective_f1(h, t, HALF))
+        assert v == pytest.approx(HALF.alpha2)  # one segment: f1 = f2 = 0
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError) as info:

@@ -1,11 +1,13 @@
 """What `benchmark/` relies on in the program.
 
-The benchmark wraps module attributes from outside the package and checks
-round 1 of a simulation against `sim.nodes` and `sim.assignment` (a view of
-`labels`/`heads` cached for the current step); these tests fail when a change
-to the program takes away something it uses.
+The benchmark reads package attributes, wraps module attributes from outside
+the package and checks round 1 of a simulation against `sim.nodes` and
+`sim.assignment` (a view of `labels`/`heads` cached for the current step);
+these tests fail when a change to the program takes away something it uses.
 """
 
+import ast
+import functools
 import math
 import sys
 from pathlib import Path
@@ -20,6 +22,35 @@ sys.path.insert(0, str(BENCHMARK))
 
 import selfcheck  # noqa: E402
 import tracer  # noqa: E402
+
+
+def package_reads():
+    """The attribute chains that `benchmark/*.py` reads off the package, as
+    `ee.X`, `eerpms.X` or `self.ee.X`, with X dotted for a submodule's name."""
+    reads = set()
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            chain = []
+            while isinstance(node, ast.Attribute) and node.attr != "ee":
+                chain.append(node.attr)
+                node = node.value
+            if chain and (isinstance(node, ast.Attribute)
+                          or isinstance(node, ast.Name) and node.id in ("ee", "eerpms")):
+                reads.add(".".join(reversed(chain)))
+    return sorted(reads)
+
+
+BENCHMARK_READS = package_reads()
+
+
+def test_package_reads_are_found():
+    assert {"Simulation", "bat.optimize_thresholds", "exhaustive_best_threshold",
+            "experiments.run_experiment"} <= set(BENCHMARK_READS)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_READS)
+def test_package_read_resolves(name):
+    functools.reduce(getattr, name.split("."), eerpms)
 
 
 @pytest.mark.parametrize("path, attr, name", tracer.PATCHES,

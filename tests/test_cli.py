@@ -1,10 +1,12 @@
 import re
+import runpy
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from eerpms import Protocol, cli
+from eerpms import Protocol, cli, experiments
 from eerpms.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -366,6 +368,22 @@ class TestVerify:
         assert "argument --seed: must be at least 0, got -1" in err
         assert out == ""
 
+    def test_seeds_reach_the_landscape_as_a_range(self, capsys, tmp_path, monkeypatch):
+        # a list of the largest accepted --seeds would be 2**31 Python ints
+        seen = []
+
+        def grid(area, radio, k_values, d_values, seeds):
+            seen.append(seeds)
+            return [(1, 0.0, 1.0)]  # no deployment runs
+
+        monkeypatch.setattr(cli, "simulated_energy_grid", grid)
+        code, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path), "--seeds", str(2 ** 31),
+                               "--histograms", "1", "--mc-samples", "100")
+        assert code == 0
+        (seeds,) = seen
+        assert type(seeds) is range and len(seeds) == 2 ** 31 and seeds[0] == 1
+        assert f"({2 ** 31} seeds)" in out
+
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_unwritable_out_is_config_error(capsys, tmp_path, command):
@@ -375,6 +393,25 @@ def test_unwritable_out_is_config_error(capsys, tmp_path, command):
     assert code == 1
     assert "error: cannot create output directory" in err
     assert out == ""  # rejected before anything runs
+
+
+def test_unwritable_existing_out_is_config_error(capsys, tmp_path, monkeypatch):
+    # root writes anywhere, so the access check is what reads as denied
+    monkeypatch.setattr(experiments.os, "access", lambda path, mode: False)
+    code, out, err = run_cli(capsys, "simulate", "--out", str(tmp_path))
+    assert code == 1
+    assert f"error: output directory is not writable: {tmp_path}" in err
+    assert out == ""
+
+
+def test_module_entry_point_exits_with_main_code(capsys, monkeypatch):
+    # a fresh copy of the module, so runpy does not warn about the imported one
+    monkeypatch.delitem(sys.modules, "eerpms.cli")
+    monkeypatch.setattr(sys, "argv", ["eerpms", "frobnicate"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("eerpms.cli", run_name="__main__")
+    assert info.value.code == 1
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 class TestParsing:

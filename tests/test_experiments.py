@@ -182,14 +182,11 @@ class TestAnalyticEnergyGrid:
         assert value == reference_round_energy(AreaSpec(150.0, 100), RadioParams(), 10, 90.9)
 
 
-def reference_forced_energies(xs, ys, radio, k, d_values, angles=None):
-    """The forced-placement round energy of one deployment at one K for every
-    head distance, as one (D, n) array: the grid's reference, written apart
-    from its blocked kernel. The grid takes `angles` from `deploy`;
-    `forced_round_energy` takes each point's `arctan2`, the default."""
+def reference_forced_energies(xs, ys, angles, radio, k, d_values):
+    """The forced-placement round energy of one deployment, its angles from
+    `deploy`, at one K for every head distance, as one (D, n) array: the
+    grid's reference, written apart from its blocked kernel."""
     bits = radio.packet_bits
-    if angles is None:
-        angles = np.mod(np.arctan2(ys, xs), 2.0 * math.pi)
     sector = np.minimum((angles * k / (2.0 * math.pi)).astype(np.int64), k - 1)
     bisector = (sector + 0.5) * (2.0 * math.pi / k)
     d = np.array(d_values, dtype=float)
@@ -236,7 +233,7 @@ class TestSimulatedEnergyGrid:
         for k in k_values:
             total = np.zeros(len(d_values))
             for xs, ys, angles in deployments:
-                total += reference_forced_energies(xs, ys, radio, k, d_values, angles)
+                total += reference_forced_energies(xs, ys, angles, radio, k, d_values)
             expected.extend((k, d, e / len(seeds)) for d, e in zip(d_values, total.tolist()))
         assert experiments.simulated_energy_grid(area, radio, k_values, d_values,
                                                  seeds) == expected
@@ -247,20 +244,9 @@ class TestSimulatedEnergyGrid:
         for n, d_count, k_count in ((100, 16, 30), (50, 3, len(range(1, 400, 3)))):
             assert k_count > experiments.LANDSCAPE_BLOCK // (n * d_count) >= 1
 
-    @pytest.mark.parametrize("k, d_ch", [(1, 0.0), (10, 90.0), (7, 87.7), (200, 150.0)])
-    def test_forced_round_energy_is_one_cell(self, k, d_ch):
-        xs, ys, _ = deployed_points(AreaSpec(150.0, 100), 2)
-        radio = NetworkConfig().radio
-        value = experiments.forced_round_energy(xs, ys, radio, k, d_ch)
-        assert type(value) is float
-        assert value == reference_forced_energies(xs, ys, radio, k, [d_ch])[0]
-
     def test_k_below_one_rejected(self):
-        xs, ys, _ = deployed_points(AreaSpec(150.0, 10), 1)
         radio = NetworkConfig().radio
         for k in (0, -3):
-            with pytest.raises(ValueError, match="k must be at least 1"):
-                experiments.forced_round_energy(xs, ys, radio, k, 10.0)
             with pytest.raises(ValueError, match="k must be at least 1"):
                 experiments.simulated_energy_grid(AreaSpec(150.0, 10), radio, [3, k], [10.0], [1])
 
@@ -278,7 +264,7 @@ class TestSimulatedEnergyGrid:
         assert peak < 1_000_000
         xs, ys, angles = deployed_points(area, 1)
         assert rows == [(10**6, 90.0,
-                         reference_forced_energies(xs, ys, radio, 10**6, [90.0], angles)[0])]
+                         reference_forced_energies(xs, ys, angles, radio, 10**6, [90.0])[0])]
 
 
 class TestSummaries:

@@ -14,17 +14,15 @@ from eerpms import (
     build_histogram,
     evaluate_threshold_sets,
     exhaustive_best_threshold,
-    f1_angle_variance,
-    f2_count_variance,
     materialize_clusters,
-    objective_f1,
-    segment_stats,
 )
 from eerpms import otsu
 from eerpms.simulation import deploy
 from eerpms.theory import AreaSpec
 
 HALF = ObjectiveWeights(0.5, 0.5)
+ANGLE_ONLY = ObjectiveWeights(1.0, 0.0)    # scores f1 / variance
+BALANCE_ONLY = ObjectiveWeights(0.0, 1.0)  # scores 1 / (1 + f2)
 
 histograms = st.lists(st.integers(min_value=0, max_value=25), min_size=4,
                       max_size=24).filter(lambda c: sum(c) > 0)
@@ -35,6 +33,52 @@ def random_threshold_set(counts, rng):
     k = int(rng.integers(1, min(5, bins) + 1))
     t = tuple(sorted(rng.choice(np.arange(1, bins), size=k - 1, replace=False).tolist()))
     return ThresholdSet(t, k)
+
+
+def score(h, t, w):
+    """The program's objective of one threshold set."""
+    row = np.array([t.thresholds], dtype=np.int64).reshape(1, t.k - 1)
+    return float(evaluate_threshold_sets(h, row, w)[0])
+
+
+# The objective written out one threshold set at a time from the prefix sums,
+# as the plain reference for `evaluate_threshold_sets` and the exhaustive search.
+
+def segment_stats(h, t):
+    """Per-segment (probability mass, mean bin index, node count); the mean
+    of an empty segment is 0 by convention."""
+    t.validate_for(h.bin_count)
+    out = []
+    for a, b in itertools.pairwise((0, *t.thresholds, h.bin_count)):
+        w = float(h.cum_p[b] - h.cum_p[a])
+        s = float(h.cum_ip[b] - h.cum_ip[a])
+        nc = int(h.cum_counts[b] - h.cum_counts[a])
+        out.append((w, s / w if w > 0 else 0.0, nc))
+    return out
+
+
+def f1_angle_variance(h, t):
+    """Between-segment variance of mean bin indices, weighted by mass."""
+    stats = segment_stats(h, t)
+    u_t = sum(w * u for w, u, _ in stats)
+    return sum(w * (u - u_t) ** 2 for w, u, _ in stats)
+
+
+def f2_count_variance(h, t):
+    """Mean squared deviation of segment populations from the even split,
+    normalized by the node total."""
+    stats = segment_stats(h, t)
+    target = h.total / t.k
+    return sum((nc - target) ** 2 for _, _, nc in stats) / h.total
+
+
+def objective_f1(h, t, w):
+    """The composite objective: f1 over the histogram variance (0 when it is
+    degenerate), and 1/(1 + f2)."""
+    f1 = f1_angle_variance(h, t)
+    f2 = f2_count_variance(h, t)
+    f1_norm = f1 / h.variance if h.variance > 0 else 0.0
+    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
 
 
 class TestBuildHistogram:
@@ -91,18 +135,20 @@ class TestSegmentStats:
 class TestF1:
     def test_single_segment_is_zero(self):
         h = AngleHistogram([1, 5, 2, 9])
-        assert f1_angle_variance(h, ThresholdSet((), 1)) == 0.0
+        assert score(h, ThresholdSet((), 1), ANGLE_ONLY) == 0.0
 
     def test_bimodal_hand_value(self):
+        # between-segment variance 2.25 of a histogram whose variance is 2.25
         h = AngleHistogram([3, 0, 0, 3])
-        assert f1_angle_variance(h, ThresholdSet((2,), 2)) == pytest.approx(2.25, rel=1e-12)
+        assert h.variance == pytest.approx(2.25, rel=1e-12)
+        assert score(h, ThresholdSet((2,), 2), ANGLE_ONLY) == pytest.approx(1.0, rel=1e-12)
 
     @settings(max_examples=100)
     @given(counts=histograms, seed=st.integers(0, 2**31))
     def test_variance_decomposition(self, counts, seed):
         h = AngleHistogram(counts)
         t = random_threshold_set(counts, np.random.default_rng(seed))
-        between = f1_angle_variance(h, t)
+        between = score(h, t, ANGLE_ONLY) * h.variance
         bounds = (0, *t.thresholds, h.bin_count)
         within = 0.0
         for a, b in itertools.pairwise(bounds):
@@ -122,49 +168,50 @@ class TestF1:
         t = random_threshold_set(counts, np.random.default_rng(seed))
         shifted = AngleHistogram([0] * shift + list(counts))
         t_shifted = ThresholdSet(tuple(v + shift for v in t.thresholds), t.k)
-        assert f1_angle_variance(shifted, t_shifted) == pytest.approx(
-            f1_angle_variance(h, t), abs=1e-10)
+        assert score(shifted, t_shifted, ANGLE_ONLY) * shifted.variance == pytest.approx(
+            score(h, t, ANGLE_ONLY) * h.variance, abs=1e-10)
 
 
 class TestF2:
+    # the balance term 1 / (1 + f2) of f2 = 0, 3 and 1/3
     def test_balanced_is_zero(self):
         h = AngleHistogram([3, 3, 3, 3])
-        assert f2_count_variance(h, ThresholdSet((2,), 2)) == 0.0
+        assert score(h, ThresholdSet((2,), 2), BALANCE_ONLY) == 1.0
 
     def test_degenerate_split(self):
         h = AngleHistogram([6, 0, 0, 0])
-        assert f2_count_variance(h, ThresholdSet((2,), 2)) == pytest.approx(3.0, rel=1e-12)
+        assert score(h, ThresholdSet((2,), 2), BALANCE_ONLY) == pytest.approx(1 / 4, rel=1e-12)
 
     def test_uneven_split(self):
         h = AngleHistogram([4, 0, 2, 0])
-        assert f2_count_variance(h, ThresholdSet((2,), 2)) == pytest.approx(1 / 3, rel=1e-12)
+        assert score(h, ThresholdSet((2,), 2), BALANCE_ONLY) == pytest.approx(3 / 4, rel=1e-12)
 
 
 class TestObjective:
     def test_ideal_bimodal_scores_one(self):
         h = AngleHistogram([5, 0, 0, 5])
-        assert objective_f1(h, ThresholdSet((2,), 2), HALF) == pytest.approx(1.0, rel=1e-12)
+        assert score(h, ThresholdSet((2,), 2), HALF) == pytest.approx(1.0, rel=1e-12)
 
     def test_single_segment(self):
         h = AngleHistogram([1, 2, 3, 4])
         t = ThresholdSet((), 1)
-        expected = HALF.alpha2 * (1.0 / (1.0 + f2_count_variance(h, t)))
-        assert objective_f1(h, t, HALF) == pytest.approx(expected, rel=1e-12)
-        assert objective_f1(h, t, HALF) == pytest.approx(HALF.alpha2, rel=1e-12)
+        expected = HALF.alpha2 * score(h, t, BALANCE_ONLY)
+        assert score(h, t, HALF) == pytest.approx(expected, rel=1e-12)
+        assert score(h, t, HALF) == pytest.approx(HALF.alpha2, rel=1e-12)
 
     def test_degenerate_histogram_angle_term_zero(self):
         h = AngleHistogram([0, 7, 0, 0])
         t = ThresholdSet((2,), 2)
         assert h.variance == 0.0
-        value = objective_f1(h, t, HALF)
-        assert value == pytest.approx(HALF.alpha2 / (1.0 + f2_count_variance(h, t)))
+        value = score(h, t, HALF)
+        assert value == pytest.approx(HALF.alpha2 * score(h, t, BALANCE_ONLY))
 
     @settings(max_examples=100)
     @given(counts=histograms, seed=st.integers(0, 2**31))
     def test_bounds(self, counts, seed):
         h = AngleHistogram(counts)
         t = random_threshold_set(counts, np.random.default_rng(seed))
-        value = objective_f1(h, t, HALF)
+        value = score(h, t, HALF)
         assert 0.0 <= value <= 1.0 + 1e-12
 
     @settings(max_examples=100)
@@ -172,9 +219,8 @@ class TestObjective:
     def test_batch_matches_scalar(self, counts, seed):
         h = AngleHistogram(counts)
         t = random_threshold_set(counts, np.random.default_rng(seed))
-        batch = evaluate_threshold_sets(h, np.array([t.thresholds], dtype=np.int64), ObjectiveWeights(0.3, 0.7))
-        scalar = objective_f1(h, t, ObjectiveWeights(0.3, 0.7))
-        assert batch[0] == pytest.approx(scalar, rel=1e-12)
+        w = ObjectiveWeights(0.3, 0.7)
+        assert score(h, t, w) == pytest.approx(objective_f1(h, t, w), rel=1e-12)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

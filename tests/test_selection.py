@@ -7,10 +7,10 @@ from eerpms import (
     ElectionTerms,
     Grouping,
     SelectionWeights,
-    attribute_score,
     distance_to_ring,
     select_cluster_heads,
 )
+from eerpms.selection import _distance_term
 
 
 def elect(labels, dists, residuals, w, initial=0.5, k=None):
@@ -21,6 +21,15 @@ def elect(labels, dists, residuals, w, initial=0.5, k=None):
     fraction = np.asarray(residuals, dtype=float) / initial
     terms = ElectionTerms(Grouping(labels, k), np.asarray(dists, dtype=float), w)
     return select_cluster_heads(terms, fraction)
+
+
+def attribute_score(energy_fraction, ring_d, cluster_min_d, cluster_max_d, w):
+    """The head-election score of candidates given as floats or equal-length
+    arrays: the reference that `select_cluster_heads` fuses into one pass."""
+    if np.any(np.greater(cluster_min_d, cluster_max_d)):
+        raise ValueError("cluster_min_d must not exceed cluster_max_d")
+    distance_term = _distance_term(ring_d, cluster_min_d, cluster_max_d)
+    return w.omega1 * energy_fraction + w.omega2 * distance_term
 
 
 def lexsort_election(labels, k, energy_fraction, distance_to_bs, w):

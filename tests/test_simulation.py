@@ -84,6 +84,24 @@ def alive_heads(sim):
     return {int(h) for h in sim.heads if h >= 0 and sim.alive[h]}
 
 
+class TestRoundMetrics:
+    @staticmethod
+    def metrics(per_ch_energy_j, member_counts):
+        return RoundMetrics(round_index=1, alive_count=9, total_residual_j=4.5, spent_j=0.5,
+                            ch_count=len(per_ch_energy_j), per_ch_energy_j=per_ch_energy_j,
+                            member_counts=member_counts, dead_node_ids=())
+
+    def test_head_energy_and_member_count_summaries(self):
+        m = self.metrics((0.25, 0.75), (1, 4, 4))
+        assert m.ch_energy_mean_j == 0.5
+        assert m.ch_energy_var == 0.0625   # population variance, not sample
+        assert m.member_count_var == 2.0   # deviations -2, 1, 1 from 3
+
+    def test_no_heads_give_zero(self):
+        m = self.metrics((), ())
+        assert (m.ch_energy_mean_j, m.ch_energy_var, m.member_count_var) == (0.0, 0.0, 0.0)
+
+
 class TestDeploy:
     def test_deterministic_per_seed(self):
         area = AreaSpec(150.0, 50)
