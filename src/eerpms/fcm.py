@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Iteration stops once no membership moves by this much or more.
+TOL = 1e-5
+#: Most iterations of one call.
+MAX_ITER = 100
 
-def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
-                  tol: float = 1e-5, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+
+def fuzzy_c_means(points: np.ndarray, k: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Cluster `points` (n, 2) into `k` groups with fuzziness m = 2.
 
     Centers start at k distinct points drawn from the data. Returns
@@ -59,8 +64,6 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
         raise ValueError("need 1 <= k <= number of points")
     if k == 1:
         return np.zeros(n, dtype=np.int64), points.mean(axis=0, keepdims=True)
-    if max_iter < 1:
-        raise ValueError("need max_iter >= 1")
 
     # u_ij = d_ij^-p / sum_l d_il^-p with p = 2/(m-1): O(nk) per iteration,
     # and on squared distances at m = 2 it is 1 / d2, with no sqrt.
@@ -80,7 +83,7 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
     # on a center d2 is 0 and 1 / d2 divides by zero; those rows are
     # overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             np.matmul(a, b, out=dxy)
             np.multiply(dxy, dxy, out=dxy)
             d2 = np.add(dx, dy, out=dx)
@@ -99,7 +102,7 @@ def fuzzy_c_means(points: np.ndarray, k: int, rng: np.random.Generator,
                     membership[on_center] /= on_sum
             if not first:
                 np.subtract(membership, previous, out=dy)
-                if np.abs(dy, out=dy).max() < tol:
+                if np.abs(dy, out=dy).max() < TOL:
                     break
             first = False
             um = np.multiply(membership, membership, out=dx)

@@ -159,7 +159,9 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
 
     Every row must be a valid threshold set for the histogram, strictly
     increasing within [1, bin_count - 1], as `ThresholdSet` and `validate_for`
-    require; a (batch, 0) matrix scores the single segment k = 1.
+    require; a (batch, 0) matrix scores the single segment k = 1. Each
+    set's f1 and f2 terms are added in segment order, left to right, so a set
+    scores the same alone as in any batch.
     """
     tmat = np.asarray(tmat, dtype=np.int64)
     if tmat.ndim != 2:
@@ -188,37 +190,9 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
 
 
 def _sum_segments(terms: np.ndarray) -> np.ndarray:
-    """Column sums of a (k, batch) array, bit for bit the row sums that
-    `.sum(axis=1)` gives on its C-contiguous transpose.
-
-    numpy sums a contiguous row of k terms pairwise, from +0.0: in order
-    below 8 terms; up to 128 in eight partial sums over strides of 8, folded
-    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and followed by the rest in
-    order; above 128 as two halves cut at a multiple of 8. This runs the
-    same order on every column at once. +0.0 only turns a -0.0 sum into
-    +0.0, so it may be added after the fold and in each half."""
-    n = len(terms)
-    if n < 8:
-        out = terms[0] + 0.0
-        for row in terms[1:]:
-            out += row
-        return out
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        out = _sum_segments(terms[:half])
-        out += _sum_segments(terms[half:])
-        return out
-    rest = n - n % 8
-    partial = terms[:8]
-    if rest > 8:
-        partial = partial + terms[8:16]
-        for i in range(16, rest, 8):
-            partial += terms[i:i + 8]
-    pairs = partial[0::2] + partial[1::2]
-    quads = pairs[0::2] + pairs[1::2]
-    out = quads[0] + quads[1]
-    out += 0.0
-    for row in terms[rest:]:
+    """Column sums of a (k, batch) array, the k rows added in order from +0.0."""
+    out = terms[0] + 0.0
+    for row in terms[1:]:
         out += row
     return out
 

@@ -150,28 +150,27 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
     """Sampling estimate of the mean squared member-to-head distance over the
     triangular wedge {0 <= x <= R, |y| <= x tan(pi/k)}, uniform density.
 
-    Bit for bit the mean of the allocating form: x = R sqrt(u) over
-    `rng.random(samples)`, y = (2v - 1) x tan(pi/k) over the next `samples`
-    draws (the values and stream of `uniform(-1, 1)`), then
-    `np.mean((x - d_ch)**2 + y**2)`, leaving `rng` where that form leaves
-    it. The samples are drawn, transformed and summed in place in blocks of
-    at most `MC_BLOCK`, so memory does not grow with `samples`: v comes from
-    a copy of the bit generator advanced by `samples`, and the blocks are
-    the leaves of numpy's pairwise summation tree (`_pairwise_sum`). `rng`
-    must draw from PCG64 or PCG64DXSM, whose `advance` skips exactly one
-    double draw per step."""
+    The allocating form: x = R sqrt(u) over `rng.random(samples)`,
+    y = (2v - 1) x tan(pi/k) over the next `samples` draws (the values and
+    stream of `uniform(-1, 1)`), and the mean of (x - d_ch)**2 + y**2,
+    leaving `rng` where that form leaves it. The samples are drawn,
+    transformed and summed in place in blocks of at most `MC_BLOCK`, so
+    memory does not grow with `samples`: v comes from a copy of the bit
+    generator advanced by `samples`, and the block sums are added in block
+    order. `rng` must draw from PCG64 or PCG64DXSM, whose `advance` skips
+    exactly one double draw per step."""
     if k < 2:
         raise ValueError("k must be at least 2")
     lateral = _second_stream(samples, rng)
     tan_half = math.tan(math.pi / k)
     x_block = np.empty(min(samples, MC_BLOCK))
     y_block = np.empty_like(x_block)
-
-    def block_sum(n: int) -> float:
-        x = rng.random(out=x_block[:n])
+    total = 0.0
+    for start in range(0, samples, MC_BLOCK):
+        x = rng.random(out=x_block[:samples - start])
         np.sqrt(x, out=x)
         x *= radius_m
-        y = lateral.random(out=y_block[:n])
+        y = lateral.random(out=y_block[:x.size])
         y *= 2.0
         y -= 1.0
         y *= x
@@ -180,9 +179,7 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
         np.square(x, out=x)
         np.square(y, out=y)
         x += y
-        return float(np.add.reduce(x))
-
-    total = _pairwise_sum(samples, block_sum)
+        total += float(np.add.reduce(x))
     _skip(samples, rng)
     return total / samples
 
@@ -197,8 +194,7 @@ def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float
     phi = `uniform(-pi/k, pi/k)` over the next `samples` draws, the count
     and the final state of `rng` those of drawing both at once. They are
     drawn and tested in the blocks of `wedge_sq_distance_mc`, phi from a
-    copy of the bit generator advanced by `samples`; the count is an
-    integer sum, so any order of the blocks would do. `rng` must draw from
+    copy of the bit generator advanced by `samples`. `rng` must draw from
     PCG64 or PCG64DXSM."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -206,20 +202,18 @@ def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float
     half = math.pi / k
     r_block = np.empty(min(samples, MC_BLOCK))
     x_block = np.empty_like(r_block)
-
-    def block_count(n: int) -> int:
-        r = rng.random(out=r_block[:n])
+    violations = 0
+    for start in range(0, samples, MC_BLOCK):
+        r = rng.random(out=r_block[:samples - start])
         np.sqrt(r, out=r)
         r *= radius_m
-        phi = angles.uniform(-half, half, n)
-        x = np.cos(phi, out=x_block[:n])
+        phi = angles.uniform(-half, half, r.size)
+        x = np.cos(phi, out=x_block[:r.size])
         x *= r
         x -= d_ch
         y = np.sin(phi, out=phi)
         y *= r
-        return int(np.count_nonzero(np.hypot(x, y, out=x) > d_th))
-
-    violations = _pairwise_sum(samples, block_count)
+        violations += int(np.count_nonzero(np.hypot(x, y, out=x) > d_th))
     _skip(samples, rng)
     if d_ch > d_th:
         violations += 1
@@ -249,18 +243,3 @@ def _skip(samples: int, rng: np.random.Generator) -> None:
     bits.advance(samples)
     bits.state = {**bits.state, "has_uint32": state["has_uint32"],
                   "uinteger": state["uinteger"]}
-
-
-def _pairwise_sum(n: int, leaf):
-    """The sum of n terms in the order `np.add.reduce` adds one contiguous
-    array of them, where `leaf(m)` sums the next m terms (m <= MC_BLOCK).
-
-    numpy cuts a run of more than 128 terms into two halves at
-    n//2 - n//2 % 8 (`otsu._sum_segments`); above `MC_BLOCK` this makes the
-    same cut, left half first, so each leaf is one of numpy's subtrees.
-    Each leaf's reduction starts from +0.0 again, which changes no sum of
-    non-negative terms."""
-    if n <= MC_BLOCK:
-        return leaf(n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(half, leaf) + _pairwise_sum(n - half, leaf)

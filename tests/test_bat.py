@@ -223,8 +223,9 @@ def reference_objectives(h, tmat, w):
     ranks = np.column_stack((np.zeros(batch, dtype=np.int64), rank[tmat],
                              np.full(batch, rank[-1])))
     seg = ranks[:, :-1] * (rank[-1] + 1) + ranks[:, 1:]
-    f1 = np.sum(f1_terms[seg], axis=1)
-    f2 = np.sum((seg_counts[seg] - h.total / k) ** 2, axis=1) / h.total
+    # each set's segment terms added in segment order, left to right
+    f1 = functools.reduce(np.add, f1_terms[seg].T)
+    f2 = functools.reduce(np.add, ((seg_counts[seg] - h.total / k) ** 2).T) / h.total
     f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
     return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from unittest import mock
@@ -244,8 +245,9 @@ def six_gather_objective(h, tmat, w):
     weighted = h.cum_ip[bounds[:, 1:]] - h.cum_ip[bounds[:, :-1]]
     counts = h.cum_counts[bounds[:, 1:]] - h.cum_counts[bounds[:, :-1]]
     u = np.divide(weighted, mass, out=np.zeros_like(weighted), where=mass > 0)
-    f1 = np.sum(mass * (u - h.mean) ** 2, axis=1)
-    f2 = np.sum((counts - h.total / k) ** 2, axis=1) / h.total
+    # each set's segment terms added in segment order, left to right
+    f1 = functools.reduce(np.add, (mass * (u - h.mean) ** 2).T)
+    f2 = functools.reduce(np.add, ((counts - h.total / k) ** 2).T) / h.total
     f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
     return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
 
@@ -324,28 +326,37 @@ class TestSegmentTable:
         assert h.segment_table is h.segment_table  # built once per histogram
 
 
-# segment counts on both sides of numpy's pairwise-summation cuts at 8 and 128
-SEGMENT_COUNT_EDGES = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 256, 300]
+def plain_loop_objective(h, thresholds, w):
+    """The objective of one threshold set with a Python loop over its
+    segments, each term read from the segment table and added in order."""
+    rank, f1_terms, _ = h.segment_table
+    width = rank[-1] + 1
+    k = len(thresholds) + 1
+    f2_terms = h.f2_terms(k)
+    bounds = [0, *(int(rank[t]) for t in thresholds), int(rank[-1])]
+    f1 = f2 = 0.0
+    for ra, rb in itertools.pairwise(bounds):
+        f1 += float(f1_terms[ra * width + rb])
+        f2 += float(f2_terms[ra * width + rb])
+    f1_norm = f1 / h.variance if h.variance > 0 else 0.0
+    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2 / h.total))
 
 
-class TestSumSegments:
-    """`otsu._sum_segments` against numpy's own row sums. If a numpy release
-    changes its reduction order, these fail before the goldens do."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(k=st.one_of(st.sampled_from(SEGMENT_COUNT_EDGES), st.integers(1, 300)),
-           batch=st.integers(0, 64), seed=st.integers(0, 2**31),
-           zeros=st.sampled_from([0.0, 0.3, 1.0]))
-    def test_equals_numpy_row_sums(self, k, batch, seed, zeros):
-        rng = np.random.default_rng(seed)
-        # non-negative values from 1e-300 to 1e300, as f1 and f2 terms are
-        terms = rng.uniform(1.0, 10.0, size=(k, batch)) * 10.0 ** rng.integers(
-            -300, 300, size=(k, batch))
-        terms[rng.random((k, batch)) < zeros] = 0.0
-        want = np.add.reduce(terms.T.copy(), axis=1)
-        got = otsu._sum_segments(terms)
-        assert got.shape == want.shape == (batch,)
-        assert (got == want).all()
+@pytest.mark.parametrize("batch", [1, 2, 3, 64])
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 10, 129, 300])
+def test_objective_does_not_depend_on_batch_size(k, batch):
+    # k on both sides of 8 and 128, where numpy's pairwise row sums change
+    # their order: a set must score the same alone as in any batch
+    rng = np.random.default_rng(1000 * k + batch)
+    counts = rng.integers(0, 4, size=360)
+    counts[0] += 1
+    h = AngleHistogram(counts)
+    w = ObjectiveWeights(0.3, 0.7)
+    tmat = sorted_threshold_rows(rng, h.bin_count, k, batch)
+    scores = evaluate_threshold_sets(h, tmat, w)
+    alone = [evaluate_threshold_sets(h, row[None, :], w)[0] for row in tmat]
+    assert scores.tolist() == alone
+    assert scores.tolist() == [plain_loop_objective(h, row.tolist(), w) for row in tmat]
 
 
 def brute_force_best(h, k, w):
