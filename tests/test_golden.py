@@ -1,10 +1,12 @@
-"""Golden digests of the CSV outputs.
+"""Golden digests of the CSV outputs, and the text the theory commands print.
 
 Each rounds case pins the SHA-256 of `write_rounds_csv` output for one
 (protocol, config) run, and of the run's full per-round metrics. The sweep
-cases pin `summary.csv`, `improvements.csv` and a landscape CSV. A change
-to the simulator that keeps its outputs must keep these digests; one that
-changes floats on purpose re-baselines them once and says so in CHANGES.md.
+cases pin `summary.csv`, `improvements.csv` and a landscape CSV. The
+`theory` and `verify` cases pin their standard output as text, and the two
+landscape CSVs `verify` writes as digests. A change to the simulator that
+keeps its outputs must keep these; one that changes floats on purpose
+re-baselines them once and says so in CHANGES.md.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import pytest
 
 from eerpms import ExperimentSpec, NetworkConfig, Protocol, run_experiment, run_simulation
+from eerpms.cli import main
 from eerpms.experiments import write_rounds_csv
 
 E, R, C = Protocol.EERPMS, Protocol.RLEACH, Protocol.CRPFCM
@@ -132,3 +135,78 @@ def test_sweep_csv_digests(tmp_path, fields, digests):
     paths = run_experiment(ExperimentSpec(base=SWEEP_BASE, output_dir=tmp_path, **fields))
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert {name: written.get(name) for name in digests} == digests
+
+
+THEORY = [
+    ((), """\
+N = 100  R = 150 m
+crossover distance d_th = 87.7058 m
+K* = 9
+d* = 91.74 m
+minimum-energy ring radius = 91.74 m
+free-space radius limit (K=9) = 164.83 m
+radius within free-space limit: yes
+feasible head-distance band (K=9) = [69.82, 87.71] m
+d* inside feasible band: no
+"""),
+    (("--nodes", "1", "--radius", "50"), """\
+N = 1  R = 50 m
+crossover distance d_th = 87.7058 m
+K* = 2
+d* = 11.11 m
+minimum-energy ring radius = 11.11 m
+free-space radius limit (K=2) = 0.00 m
+radius within free-space limit: no
+"""),
+    (("--nodes", "250"), """\
+N = 250  R = 150 m
+crossover distance d_th = 87.7058 m
+K* = 12
+d* = 95.42 m
+minimum-energy ring radius = 95.42 m
+free-space radius limit (K=12) = 169.43 m
+radius within free-space limit: yes
+feasible head-distance band (K=12) = [66.24, 87.71] m
+d* inside feasible band: no
+"""),
+]
+
+
+@pytest.mark.parametrize("flags, expected", THEORY, ids=["defaults", "n1-r50", "n250"])
+def test_theory_stdout(capsys, flags, expected):
+    assert main(["theory", *flags]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# 200 003 samples per Monte Carlo call cross 12 MC_BLOCK edges and end in a tail
+VERIFY_STDOUT = """\
+[thresholds] 3/3 searches within 0.99x of the exhaustive optimum (bins=36, k in 2..4)
+[wedge-mc] k=9 d=0: closed=11706.93 sampled=11732.26 rel_err=0.216%
+[wedge-mc] k=9 d=90: closed=1806.93 sampled=1849.00 rel_err=2.275%
+[wedge-mc] k=9 d=135: closed=2931.93 sampled=2976.08 rel_err=1.484%
+[wedge-mc] k=10 d=0: closed=11620.11 sampled=11656.79 rel_err=0.315%
+[wedge-mc] k=10 d=90: closed=1720.11 sampled=1740.32 rel_err=1.161%
+[wedge-mc] k=10 d=135: closed=2845.11 sampled=2860.29 rel_err=0.531%
+[wedge-mc] k=12 d=0: closed=11507.02 sampled=11519.07 rel_err=0.105%
+[wedge-mc] k=12 d=90: closed=1607.02 sampled=1615.93 rel_err=0.551%
+[wedge-mc] k=12 d=135: closed=2732.02 sampled=2752.65 rel_err=0.750%
+[wedge-mc] worst relative error: 2.275%
+[landscape] analytic argmin: K=10 d=90.9 energy=0.0521168 J
+[landscape] simulated argmin: K=9 d=90 energy=0.0519174 J (2 seeds)
+[coverage] K=9 head at band lo=69.82 m: violations=0/100000
+[coverage] K=9 head at band hi=87.71 m: violations=0/100000
+"""
+VERIFY_CSVS = {
+    "landscape_analytic.csv":
+    "c2690c49086ea7e7b1dd374f4ab04d2f828831565ee2d9487025d4f8a37fe78a",
+    "landscape_simulated.csv":
+    "c2f35f6da54adcaf02d87a03d817cffc725f2fdce227eae22f00cf5b2ed6c3f3",
+}
+
+
+def test_verify_stdout_and_landscapes(capsys, tmp_path):
+    assert main(["verify", "--histograms", "3", "--seeds", "2", "--mc-samples", "200003",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in VERIFY_CSVS} == VERIFY_CSVS
