@@ -41,13 +41,10 @@ from .experiments import (
 )
 from .network import Protocol
 from .otsu import AngleHistogram, ObjectiveWeights, exhaustive_best_threshold
-from .radio import distance_threshold
 from .simulation import run_simulation
 from .theory import (
     AreaSpec,
     expected_sq_member_distance,
-    feasible_ch_band,
-    free_space_radius_limit,
     optimal_plan,
     sector_coverage_violations,
     wedge_sq_distance_mc,
@@ -122,21 +119,19 @@ def cmd_theory(args) -> int:
     config = _with_flags(_load_config(args.config), node_count=args.nodes,
                          radius_m=args.radius)
     area = AreaSpec(radius_m=config.radius_m, node_count=config.node_count)
-    radio = config.radio
-    d_th = distance_threshold(radio)
-    plan = optimal_plan(area, radio)
+    plan = optimal_plan(area, config.radio)
+    k = plan.k_star
     print(f"N = {area.node_count}  R = {area.radius_m:g} m")
-    print(f"crossover distance d_th = {d_th:.4f} m")
-    print(f"K* = {plan.k_star}")
+    print(f"crossover distance d_th = {plan.d_th_m:.4f} m")
+    print(f"K* = {k}")
     print(f"d* = {plan.d_star_m:.2f} m")
     print(f"minimum-energy ring radius = {plan.d_star_m:.2f} m")
-    limit = free_space_radius_limit(d_th, plan.k_star)
-    print(f"free-space radius limit (K={plan.k_star}) = {limit:.2f} m")
-    print(f"radius within free-space limit: {'yes' if plan.feasible else 'no'}")
-    if plan.feasible:
-        lo, hi = feasible_ch_band(area, d_th, plan.k_star)
-        print(f"feasible head-distance band (K={plan.k_star}) = [{lo:.2f}, {hi:.2f}] m")
-        print(f"d* inside feasible band: {'yes' if plan.d_star_in_band else 'no'}")
+    print(f"free-space radius limit (K={k}) = {plan.radius_limit_m:.2f} m")
+    print(f"radius within free-space limit: {'yes' if plan.band else 'no'}")
+    if plan.band:
+        lo, hi = plan.band
+        print(f"feasible head-distance band (K={k}) = [{lo:.2f}, {hi:.2f}] m")
+        print(f"d* inside feasible band: {'yes' if lo <= plan.d_star_m <= hi else 'no'}")
     return 0
 
 
@@ -170,7 +165,8 @@ def cmd_verify(args) -> int:
             d = frac * area.radius_m
             closed = expected_sq_member_distance(area, k, d)
             sampled = wedge_sq_distance_mc(area.radius_m, k, d, args.mc_samples, rng)
-            rel = abs(closed - sampled) / sampled
+            # both underflow to 0.0 on a small enough field
+            rel = abs(closed - sampled) / sampled if sampled else (np.inf if closed else 0.0)
             worst = max(worst, rel)
             print(f"[wedge-mc] k={k} d={d:g}: closed={closed:.2f} "
                   f"sampled={sampled:.2f} rel_err={rel:.3%}")
@@ -192,13 +188,11 @@ def cmd_verify(args) -> int:
           f"({len(seeds)} seeds)")
 
     # sector coverage at the feasible-band endpoints
-    d_th = distance_threshold(radio)
     plan = optimal_plan(area, radio)
     k = plan.k_star
-    if plan.feasible:
-        lo, hi = feasible_ch_band(area, d_th, k)
-        for name, d_ch in (("band lo", lo), ("band hi", hi)):
-            bad = sector_coverage_violations(area.radius_m, k, d_th, d_ch,
+    if plan.band:
+        for name, d_ch in zip(("band lo", "band hi"), plan.band):
+            bad = sector_coverage_violations(area.radius_m, k, plan.d_th_m, d_ch,
                                              100_000, rng)
             print(f"[coverage] K={k} head at {name}={d_ch:.2f} m: "
                   f"violations={bad}/100000")

@@ -32,12 +32,14 @@ class AreaSpec:
 
 @dataclass(frozen=True)
 class OptimalPlan:
-    """Closed-form plan: cluster count, head ring radius, feasibility flags."""
+    """Closed-form plan: cluster count, head ring radius and the free-space
+    geometry at that count."""
 
     k_star: int
     d_star_m: float          # head-to-sink distance: the minimum-energy ring's radius
-    feasible: bool           # field radius within the free-space limit for k_star
-    d_star_in_band: bool     # d_star inside the feasible head-distance band
+    d_th_m: float            # crossover distance of the radio
+    radius_limit_m: float    # free-space radius limit for k_star
+    band: tuple[float, float] | None  # feasible head-distance band; None beyond the limit
 
 
 def optimal_cluster_count(area: AreaSpec) -> int:
@@ -64,10 +66,11 @@ def optimal_ch_distance(area: AreaSpec, k: int) -> float:
 
 
 def free_space_radius_limit(d_th: float, k: int) -> float:
-    """Largest field radius for which a head position exists that keeps every
-    in-sector link and the head-to-sink link on the free-space branch."""
-    if k < 2:
-        raise ValueError("k must be at least 2 (single-sector geometry is degenerate)")
+    """Largest field radius for which a head on the sector bisector at `d_th`
+    from the sink keeps every in-sector link and the head-to-sink link on the
+    free-space branch. For k >= 4 no other head position reaches farther."""
+    if k < 2:  # single-sector geometry is degenerate
+        raise ValueError("k must be at least 2")
     return 2.0 * d_th * math.cos(math.pi / k)
 
 
@@ -75,21 +78,16 @@ def feasible_ch_band(area: AreaSpec, d_th: float, k: int) -> tuple[float, float]
     """Interval of head-to-sink distances (head on the sector bisector) for
     which all sector points and the sink stay within `d_th` of the head.
 
-    Raises if the field is too large for such a band to exist.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    The upper end is `d_th`, the lower end the nearest head distance that
+    still reaches the arc ends, and never below 0: a head at the sink
+    reaches every point of a field smaller than `d_th`. At the radius limit
+    the band is the point [d_th, d_th]; beyond it this raises."""
     r = area.radius_m
-    s = r * math.sin(math.pi / k)
-    if s > d_th:
-        raise ValueError(
-            "no feasible head position: R*sin(pi/k) exceeds the crossover distance"
-        )
-    lo = r * math.cos(math.pi / k) - math.sqrt(d_th * d_th - s * s)
-    hi = d_th
-    if lo > hi:
+    if r > free_space_radius_limit(d_th, k):
         raise ValueError("no feasible head position: field radius exceeds the limit")
-    return (lo, hi)
+    s = r * math.sin(math.pi / k)
+    lo = r * math.cos(math.pi / k) - math.sqrt(max(d_th * d_th - s * s, 0.0))
+    return (min(max(lo, 0.0), d_th), d_th)
 
 
 def expected_sq_member_distance(area: AreaSpec, k: int, d_ch: float) -> float:
@@ -126,17 +124,14 @@ def predicted_round_energy(area: AreaSpec, params: RadioParams, k: int, d_ch: fl
 
 
 def optimal_plan(area: AreaSpec, params: RadioParams) -> OptimalPlan:
-    """Assemble the closed-form plan and its feasibility flags."""
+    """Assemble the closed-form plan, its radius limit and, within the limit,
+    its feasible head-distance band."""
     k = optimal_cluster_count(area)
-    d = optimal_ch_distance(area, k)
     d_th = distance_threshold(params)
-    feasible = area.radius_m <= free_space_radius_limit(d_th, k)
-    in_band = False
-    if feasible:
-        lo, hi = feasible_ch_band(area, d_th, k)
-        in_band = lo <= d <= hi
-    return OptimalPlan(k_star=k, d_star_m=d, feasible=feasible,
-                       d_star_in_band=in_band)
+    limit = free_space_radius_limit(d_th, k)
+    band = feasible_ch_band(area, d_th, k) if area.radius_m <= limit else None
+    return OptimalPlan(k_star=k, d_star_m=optimal_ch_distance(area, k), d_th_m=d_th,
+                       radius_limit_m=limit, band=band)
 
 
 # --- Monte-Carlo counterparts -------------------------------------------------
@@ -150,27 +145,17 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
     """Sampling estimate of the mean squared member-to-head distance over the
     triangular wedge {0 <= x <= R, |y| <= x tan(pi/k)}, uniform density.
 
-    The allocating form: x = R sqrt(u) over `rng.random(samples)`,
-    y = (2v - 1) x tan(pi/k) over the next `samples` draws (the values and
-    stream of `uniform(-1, 1)`), and the mean of (x - d_ch)**2 + y**2,
-    leaving `rng` where that form leaves it. The samples are drawn,
-    transformed and summed in place in blocks of at most `MC_BLOCK`, so
-    memory does not grow with `samples`: v comes from a copy of the bit
-    generator advanced by `samples`, and the block sums are added in block
-    order. `rng` must draw from PCG64 or PCG64DXSM, whose `advance` skips
-    exactly one double draw per step."""
+    x = R sqrt(u) and y = (2v - 1) x tan(pi/k), the values of `uniform(-1, 1)`,
+    over the pairs of `_uniform_pairs`, so `rng` must draw from PCG64 or
+    PCG64DXSM; the mean of (x - d_ch)**2 + y**2 is the block sums added in
+    block order, divided by `samples`."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    lateral = _second_stream(samples, rng)
     tan_half = math.tan(math.pi / k)
-    x_block = np.empty(min(samples, MC_BLOCK))
-    y_block = np.empty_like(x_block)
     total = 0.0
-    for start in range(0, samples, MC_BLOCK):
-        x = rng.random(out=x_block[:samples - start])
+    for x, y in _uniform_pairs(samples, rng):
         np.sqrt(x, out=x)
         x *= radius_m
-        y = lateral.random(out=y_block[:x.size])
         y *= 2.0
         y -= 1.0
         y *= x
@@ -180,7 +165,6 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
         np.square(y, out=y)
         x += y
         total += float(np.add.reduce(x))
-    _skip(samples, rng)
     return total / samples
 
 
@@ -190,55 +174,50 @@ def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float
     the bisector at distance `d_ch`; adds one if the head itself is farther
     than `d_th` from the sink.
 
-    The points are r = R sqrt(u) over `rng.random(samples)` and
-    phi = `uniform(-pi/k, pi/k)` over the next `samples` draws, the count
-    and the final state of `rng` those of drawing both at once. They are
-    drawn and tested in the blocks of `wedge_sq_distance_mc`, phi from a
-    copy of the bit generator advanced by `samples`. `rng` must draw from
-    PCG64 or PCG64DXSM."""
+    The points are r = R sqrt(u) and phi = -pi/k + (2 pi/k) v, the values of
+    `uniform(-pi/k, pi/k)`, over the pairs of `_uniform_pairs`, so `rng`
+    must draw from PCG64 or PCG64DXSM."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    angles = _second_stream(samples, rng)
     half = math.pi / k
-    r_block = np.empty(min(samples, MC_BLOCK))
-    x_block = np.empty_like(r_block)
+    x_block = np.empty(MC_BLOCK)
     violations = 0
-    for start in range(0, samples, MC_BLOCK):
-        r = rng.random(out=r_block[:samples - start])
+    for r, phi in _uniform_pairs(samples, rng):
         np.sqrt(r, out=r)
         r *= radius_m
-        phi = angles.uniform(-half, half, r.size)
+        phi *= 2.0 * half
+        phi -= half
         x = np.cos(phi, out=x_block[:r.size])
         x *= r
         x -= d_ch
         y = np.sin(phi, out=phi)
         y *= r
         violations += int(np.count_nonzero(np.hypot(x, y, out=x) > d_th))
-    _skip(samples, rng)
-    if d_ch > d_th:
-        violations += 1
-    return violations
+    return violations + int(d_ch > d_th)
 
 
-def _second_stream(samples: int, rng: np.random.Generator) -> np.random.Generator:
-    """A generator on a copy of `rng`'s bit generator advanced by `samples`
-    draws: where a second `rng.random(samples)` would start. Checks the
-    sample count and the bit generator before anything is drawn."""
+def _uniform_pairs(samples: int, rng: np.random.Generator):
+    """Yield `rng.random(samples)` and the `samples` draws after it as pairs
+    (u, v) of blocks of at most `MC_BLOCK` values, written into the same two
+    buffers for every block, then leave `rng` where drawing both at once
+    leaves it, so memory does not grow with `samples`.
+
+    v comes from a copy of the bit generator advanced by `samples`, so `rng`
+    must draw from PCG64 or PCG64DXSM, whose `advance` skips exactly one
+    double draw per step. Both are checked before anything is drawn."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     bits = rng.bit_generator
     if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
         raise ValueError("rng must draw from a PCG64 or PCG64DXSM bit generator")
-    ahead = copy.deepcopy(bits)
-    ahead.advance(samples)
-    return np.random.Generator(ahead)
-
-
-def _skip(samples: int, rng: np.random.Generator) -> None:
-    """Advance `rng` past `samples` double draws. `advance` also drops the
-    buffered half of a 32-bit draw, which double draws keep, so it is put
-    back."""
-    bits = rng.bit_generator
+    ahead = np.random.Generator(copy.deepcopy(bits))
+    ahead.bit_generator.advance(samples)
+    u_block, v_block = np.empty((2, min(samples, MC_BLOCK)))
+    for start in range(0, samples, MC_BLOCK):
+        u = rng.random(out=u_block[:samples - start])
+        yield u, ahead.random(out=v_block[:u.size])
+    # `advance` also drops the buffered half of a 32-bit draw, which double
+    # draws keep, so it is put back
     state = bits.state
     bits.advance(samples)
     bits.state = {**bits.state, "has_uint32": state["has_uint32"],

@@ -47,6 +47,20 @@ class TestTheory:
         assert code == 0
         assert "K* = 2" in out
 
+    @pytest.mark.parametrize("nodes, radius, k", [("100", "164.83298974878403", 9),
+                                                  ("10", "124.03473458920845", 4)])
+    def test_band_is_a_point_at_radius_limit(self, capsys, nodes, radius, k):
+        code, out, err = run_cli(capsys, "theory", "--nodes", nodes, "--radius", radius)
+        assert code == 0, err
+        assert "radius within free-space limit: yes" in out
+        assert f"feasible head-distance band (K={k}) = [87.71, 87.71] m" in out
+
+    @pytest.mark.parametrize("nodes, k", [("100", 9), ("3", 3)])
+    def test_band_lower_end_not_negative(self, capsys, nodes, k):
+        code, out, _ = run_cli(capsys, "theory", "--nodes", nodes, "--radius", "80")
+        assert code == 0
+        assert f"feasible head-distance band (K={k}) = [0.00, 87.71] m" in out
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--nodes", "0", "node_count must be at least 1"),
         ("--radius", "-5", "radius_m must be strictly positive"),
@@ -334,6 +348,35 @@ class TestVerify:
             "--seeds", "1", "--mc-samples", "2000", "--histograms", "1")
         assert code == 0
         assert "[coverage] skipped: R=200 exceeds the free-space limit for K=5" in out
+
+    @pytest.mark.parametrize("text, k", [
+        ("radius_m = 164.83298974878403\n", 9),
+        ("radius_m = 124.03473458920845\nnode_count = 10\n", 4),
+    ], ids=["n100-at-limit", "n10-at-limit"])
+    def test_coverage_at_radius_limit(self, capsys, tmp_path, text, k):
+        config = tmp_path / "limit.ini"
+        config.write_text("[network]\n" + text)
+        code, out, err = run_cli(
+            capsys, "verify", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--seeds", "1", "--mc-samples", "2000", "--histograms", "1")
+        assert code == 0, err
+        assert f"[coverage] K={k} head at band lo=87.71 m" in out
+        assert f"[coverage] K={k} head at band hi=87.71 m" in out
+
+    @pytest.mark.parametrize("radius, worst", [("1e-300", "0.000%"),
+                                               ("1.7012542798525718e-162", "inf%")])
+    def test_tiny_field_runs(self, capsys, tmp_path, radius, worst):
+        # at 1e-300 every wedge mean underflows to 0.0, closed form and sample
+        # alike; at 1.7e-162 the samples at d = 0.9 R do but the closed form
+        # rounds to -5e-324
+        config = tmp_path / "tiny.ini"
+        config.write_text(f"[network]\nradius_m = {radius}\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--seeds", "2", "--mc-samples", "20000", "--histograms", "3")
+        assert code == 0, err
+        assert f"[wedge-mc] worst relative error: {worst}" in out
+        assert "[coverage] K=9 head at band lo=0.00 m" in out
 
     @pytest.mark.parametrize("flag", ["--seeds", "--mc-samples", "--histograms"])
     def test_count_below_one_is_config_error(self, capsys, tmp_path, flag):

@@ -1,9 +1,13 @@
+import contextlib
 import copy
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eerpms import (
     AreaSpec,
@@ -19,6 +23,7 @@ from eerpms import (
     sector_coverage_violations,
     wedge_sq_distance_mc,
 )
+from eerpms.cli import main
 from eerpms.theory import MC_BLOCK
 
 RADIO = RadioParams()
@@ -94,6 +99,22 @@ class TestFeasibleChBand:
             feasible_ch_band(AreaSpec(150.0, 100), 30.0, 3)
         with pytest.raises(ValueError):
             feasible_ch_band(AreaSpec(170.0, 100), D_TH, 10)
+        # beyond the k = 3 limit (R = d_th) a head at d_th leaves the arc
+        # ends 1.054 d_th away, so d_th is no upper end
+        with pytest.raises(ValueError):
+            feasible_ch_band(AreaSpec(1.1 * D_TH, 100), D_TH, 3)
+
+    @pytest.mark.parametrize("n, r", [(100, 164.83298974878403), (10, 124.03473458920845)])
+    def test_point_at_radius_limit(self, n, r):
+        # the field radius is the limit for K* (9 and 4) as the plan computes it
+        k = optimal_cluster_count(AreaSpec(r, n))
+        assert r == free_space_radius_limit(D_TH, k)
+        assert feasible_ch_band(AreaSpec(r, n), D_TH, k) == (D_TH, D_TH)
+
+    @pytest.mark.parametrize("r, k", [(80.0, 9), (80.0, 3), (1e-300, 9)])
+    def test_lower_end_not_negative(self, r, k):
+        # R < d_th: a head at the sink reaches every point of the field
+        assert feasible_ch_band(AreaSpec(r, 100), D_TH, k) == (0.0, D_TH)
 
     def test_band_endpoints_cover_sector(self):
         rng = np.random.default_rng(2024)
@@ -223,15 +244,42 @@ class TestOptimalPlan:
         plan = optimal_plan(AreaSpec(150.0, 100), RADIO)
         assert plan.k_star == 9
         assert plan.d_star_m == pytest.approx(91.743, abs=0.01)
-        assert plan.feasible is True
+        assert plan.d_th_m == D_TH
+        assert plan.radius_limit_m == free_space_radius_limit(D_TH, 9)
+        assert plan.band == feasible_ch_band(AreaSpec(150.0, 100), D_TH, 9)
         # the unconstrained optimum exceeds the crossover distance, so it
         # falls outside the feasible band; reported, not silently projected
-        assert plan.d_star_in_band is False
+        assert plan.band[1] < plan.d_star_m
 
     def test_small_field_fully_feasible(self):
         plan = optimal_plan(AreaSpec(80.0, 100), RADIO)
-        assert plan.feasible is True
-        assert plan.d_star_in_band is True
+        assert plan.band == (0.0, D_TH)
+        assert plan.band[0] <= plan.d_star_m <= plan.band[1]
+
+    def test_no_band_beyond_radius_limit(self):
+        plan = optimal_plan(AreaSpec(170.0, 100), RADIO)
+        assert plan.radius_limit_m < 170.0
+        assert plan.band is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3000), data=st.data())
+def test_plan_band_exists_exactly_within_radius_limit(n, data):
+    # R at the limit for K*, one ulp either side of it, or anywhere up to twice it
+    limit = free_space_radius_limit(D_TH, optimal_cluster_count(AreaSpec(1.0, n)))
+    edge = data.draw(st.sampled_from([limit, math.nextafter(limit, 0.0),
+                                      math.nextafter(limit, math.inf), None]))
+    r = edge if edge is not None else data.draw(
+        st.floats(0.0, 2.0 * limit, exclude_min=True))
+    plan = optimal_plan(AreaSpec(r, n), RADIO)
+    assert plan.radius_limit_m == limit
+    assert (plan.band is not None) == (r <= limit)
+    if plan.band is not None:
+        lo, hi = plan.band
+        assert 0.0 <= lo <= hi == D_TH
+    if edge is not None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["theory", "--nodes", str(n), "--radius", repr(r)]) == 0
 
 
 class TestSectorCoverageViolations:
