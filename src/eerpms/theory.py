@@ -9,7 +9,6 @@ quantities are provided as independent checks of the closed forms.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -66,28 +65,34 @@ def optimal_ch_distance(area: AreaSpec, k: int) -> float:
 
 
 def free_space_radius_limit(d_th: float, k: int) -> float:
-    """Largest field radius for which a head on the sector bisector at `d_th`
-    from the sink keeps every in-sector link and the head-to-sink link on the
-    free-space branch. For k >= 4 no other head position reaches farther."""
+    """Largest field radius for which some head on the sector bisector keeps
+    every in-sector link and the head-to-sink link on the free-space branch.
+
+    For k <= 4 it is d_th / sin(pi/k), where the arc ends are `d_th` from a
+    head at R cos(pi/k); for k >= 4 it is 2 d_th cos(pi/k), where they are
+    `d_th` from a head at `d_th`. The two agree at k = 4."""
     if k < 2:  # single-sector geometry is degenerate
         raise ValueError("k must be at least 2")
+    if k < 4:
+        return d_th / math.sin(math.pi / k)
     return 2.0 * d_th * math.cos(math.pi / k)
 
 
 def feasible_ch_band(area: AreaSpec, d_th: float, k: int) -> tuple[float, float]:
-    """Interval of head-to-sink distances (head on the sector bisector) for
-    which all sector points and the sink stay within `d_th` of the head.
+    """Interval of head-to-sink distances x (head on the sector bisector) for
+    which all sector points and the sink stay within `d_th` of the head: x in
+    [0, d_th] with the arc ends within `d_th`, (R cos(pi/k) - x)**2 +
+    (R sin(pi/k))**2 <= d_th**2, as no other sector point is farther.
 
-    The upper end is `d_th`, the lower end the nearest head distance that
-    still reaches the arc ends, and never below 0: a head at the sink
-    reaches every point of a field smaller than `d_th`. At the radius limit
-    the band is the point [d_th, d_th]; beyond it this raises."""
+    At the radius limit the band is a point, R cos(pi/k) for k <= 4 and
+    `d_th` for k >= 4; beyond it this raises."""
     r = area.radius_m
     if r > free_space_radius_limit(d_th, k):
         raise ValueError("no feasible head position: field radius exceeds the limit")
-    s = r * math.sin(math.pi / k)
-    lo = r * math.cos(math.pi / k) - math.sqrt(max(d_th * d_th - s * s, 0.0))
-    return (min(max(lo, 0.0), d_th), d_th)
+    c, s = r * math.cos(math.pi / k), r * math.sin(math.pi / k)
+    reach = math.sqrt(max(d_th * d_th - s * s, 0.0))
+    hi = min(c + reach, d_th)
+    return (min(max(c - reach, 0.0), hi), hi)
 
 
 def expected_sq_member_distance(area: AreaSpec, k: int, d_ch: float) -> float:
@@ -145,18 +150,18 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
     """Sampling estimate of the mean squared member-to-head distance over the
     triangular wedge {0 <= x <= R, |y| <= x tan(pi/k)}, uniform density.
 
-    x = R sqrt(u) and y = (2v - 1) x tan(pi/k), the values of `uniform(-1, 1)`,
-    over the pairs of `_uniform_pairs`, so `rng` must draw from PCG64 or
-    PCG64DXSM; the mean of (x - d_ch)**2 + y**2 is the block sums added in
-    block order, divided by `samples`."""
+    x = R sqrt(u) and y = (2v - 1) x tan(pi/k) over the pairs of
+    `_uniform_pairs`; the mean of (x - d_ch)**2 + y**2 is the block sums added
+    in block order, divided by `samples`."""
     if k < 2:
         raise ValueError("k must be at least 2")
     tan_half = math.tan(math.pi / k)
+    x_block, y_block = np.empty((2, MC_BLOCK))
     total = 0.0
-    for x, y in _uniform_pairs(samples, rng):
-        np.sqrt(x, out=x)
+    for u, v in _uniform_pairs(samples, rng):
+        x = np.sqrt(u, out=x_block[:u.size])
         x *= radius_m
-        y *= 2.0
+        y = np.multiply(v, 2.0, out=y_block[:v.size])
         y -= 1.0
         y *= x
         y *= tan_half
@@ -174,18 +179,17 @@ def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float
     the bisector at distance `d_ch`; adds one if the head itself is farther
     than `d_th` from the sink.
 
-    The points are r = R sqrt(u) and phi = -pi/k + (2 pi/k) v, the values of
-    `uniform(-pi/k, pi/k)`, over the pairs of `_uniform_pairs`, so `rng`
-    must draw from PCG64 or PCG64DXSM."""
+    The points are r = R sqrt(u) and phi = -pi/k + (2 pi/k) v over the pairs
+    of `_uniform_pairs`."""
     if k < 1:
         raise ValueError("k must be at least 1")
     half = math.pi / k
-    x_block = np.empty(MC_BLOCK)
+    r_block, phi_block, x_block = np.empty((3, MC_BLOCK))
     violations = 0
-    for r, phi in _uniform_pairs(samples, rng):
-        np.sqrt(r, out=r)
+    for u, v in _uniform_pairs(samples, rng):
+        r = np.sqrt(u, out=r_block[:u.size])
         r *= radius_m
-        phi *= 2.0 * half
+        phi = np.multiply(v, 2.0 * half, out=phi_block[:v.size])
         phi -= half
         x = np.cos(phi, out=x_block[:r.size])
         x *= r
@@ -197,28 +201,16 @@ def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float
 
 
 def _uniform_pairs(samples: int, rng: np.random.Generator):
-    """Yield `rng.random(samples)` and the `samples` draws after it as pairs
-    (u, v) of blocks of at most `MC_BLOCK` values, written into the same two
-    buffers for every block, then leave `rng` where drawing both at once
-    leaves it, so memory does not grow with `samples`.
-
-    v comes from a copy of the bit generator advanced by `samples`, so `rng`
-    must draw from PCG64 or PCG64DXSM, whose `advance` skips exactly one
-    double draw per step. Both are checked before anything is drawn."""
+    """Yield (u, v) = (w[0::2], w[1::2]) of w = `rng.random(2 * samples)` in
+    blocks of at most `MC_BLOCK` pairs, as strided views of one buffer that
+    every block reuses, so memory does not grow with `samples`. Consecutive
+    draws join into one, so for any bit generator the blocks are those of
+    the single draw and `rng` ends where that draw leaves it. Each sampler
+    reads u and v once, into buffers of its own, which is cheaper than
+    copying them out here."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    bits = rng.bit_generator
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise ValueError("rng must draw from a PCG64 or PCG64DXSM bit generator")
-    ahead = np.random.Generator(copy.deepcopy(bits))
-    ahead.bit_generator.advance(samples)
-    u_block, v_block = np.empty((2, min(samples, MC_BLOCK)))
+    w = np.empty(2 * min(samples, MC_BLOCK))
     for start in range(0, samples, MC_BLOCK):
-        u = rng.random(out=u_block[:samples - start])
-        yield u, ahead.random(out=v_block[:u.size])
-    # `advance` also drops the buffered half of a 32-bit draw, which double
-    # draws keep, so it is put back
-    state = bits.state
-    bits.advance(samples)
-    bits.state = {**bits.state, "has_uint32": state["has_uint32"],
-                  "uinteger": state["uinteger"]}
+        block = rng.random(out=w[:2 * min(MC_BLOCK, samples - start)])
+        yield block[0::2], block[1::2]

@@ -155,8 +155,10 @@ crossover distance d_th = 87.7058 m
 K* = 2
 d* = 11.11 m
 minimum-energy ring radius = 11.11 m
-free-space radius limit (K=2) = 0.00 m
-radius within free-space limit: no
+free-space radius limit (K=2) = 87.71 m
+radius within free-space limit: yes
+feasible head-distance band (K=2) = [0.00, 72.06] m
+d* inside feasible band: yes
 """),
     (("--nodes", "250"), """\
 N = 250  R = 150 m
@@ -181,16 +183,16 @@ def test_theory_stdout(capsys, flags, expected):
 # 200 003 samples per Monte Carlo call cross 12 MC_BLOCK edges and end in a tail
 VERIFY_STDOUT = """\
 [thresholds] 3/3 searches within 0.99x of the exhaustive optimum (bins=36, k in 2..4)
-[wedge-mc] k=9 d=0: closed=11706.93 sampled=11732.26 rel_err=0.216%
-[wedge-mc] k=9 d=90: closed=1806.93 sampled=1849.00 rel_err=2.275%
-[wedge-mc] k=9 d=135: closed=2931.93 sampled=2976.08 rel_err=1.484%
-[wedge-mc] k=10 d=0: closed=11620.11 sampled=11656.79 rel_err=0.315%
-[wedge-mc] k=10 d=90: closed=1720.11 sampled=1740.32 rel_err=1.161%
-[wedge-mc] k=10 d=135: closed=2845.11 sampled=2860.29 rel_err=0.531%
-[wedge-mc] k=12 d=0: closed=11507.02 sampled=11519.07 rel_err=0.105%
-[wedge-mc] k=12 d=90: closed=1607.02 sampled=1615.93 rel_err=0.551%
-[wedge-mc] k=12 d=135: closed=2732.02 sampled=2752.65 rel_err=0.750%
-[wedge-mc] worst relative error: 2.275%
+[wedge-mc] k=9 d=0: closed=11706.93 sampled=11742.37 rel_err=0.302%
+[wedge-mc] k=9 d=90: closed=1806.93 sampled=1851.36 rel_err=2.400%
+[wedge-mc] k=9 d=135: closed=2931.93 sampled=2971.11 rel_err=1.319%
+[wedge-mc] k=10 d=0: closed=11620.11 sampled=11624.02 rel_err=0.034%
+[wedge-mc] k=10 d=90: closed=1720.11 sampled=1742.34 rel_err=1.276%
+[wedge-mc] k=10 d=135: closed=2845.11 sampled=2864.13 rel_err=0.664%
+[wedge-mc] k=12 d=0: closed=11507.02 sampled=11508.22 rel_err=0.010%
+[wedge-mc] k=12 d=90: closed=1607.02 sampled=1615.63 rel_err=0.533%
+[wedge-mc] k=12 d=135: closed=2732.02 sampled=2748.39 rel_err=0.596%
+[wedge-mc] worst relative error: 2.400%
 [landscape] analytic argmin: K=10 d=90.9 energy=0.0521168 J
 [landscape] simulated argmin: K=9 d=90 energy=0.0519174 J (2 seeds)
 [coverage] K=9 head at band lo=69.82 m: violations=0/100000
