@@ -36,11 +36,8 @@ class ConfigError(Exception):
 
 def _finite_energy(radio: RadioParams, d: float, packets: int = 1) -> bool:
     """Whether sending `packets` packets over `d` metres costs a finite energy."""
-    try:
-        with np.errstate(over="ignore"):
-            return math.isfinite(packets * tx_energy(radio, radio.packet_bits, d))
-    except OverflowError:
-        return False
+    with np.errstate(over="ignore"):
+        return math.isfinite(packets * tx_energy(radio, radio.packet_bits, d))
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / len(values)
     if len(values) < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    var = sum((v - mean) * (v - mean) for v in values) / (len(values) - 1)
     return mean, math.sqrt(var)
 
 
@@ -229,8 +229,7 @@ def _forced_energies(xs: np.ndarray, ys: np.ndarray, angles: np.ndarray, radio: 
     and forwards a single packet to the sink. Empty sectors cost nothing.
     Member costs are summed along the rows of a (K, distance, node) array,
     then each K's sector sizes (run lengths of its sorted sectors) added in
-    ascending sector order, zeros where a K has fewer. d^4 is (d*d)*(d*d),
-    whose bits, unlike `** 4`'s, no CPU dispatch changes."""
+    ascending sector order, zeros where a K has fewer."""
     if k.min() < 1:
         raise ValueError("k must be at least 1")
     bits = radio.packet_bits
@@ -239,10 +238,7 @@ def _forced_energies(xs: np.ndarray, ys: np.ndarray, angles: np.ndarray, radio: 
     bisector = (sector + 0.5) * (2.0 * math.pi / kc)
     dist = np.hypot(xs - d[:, None] * np.cos(bisector)[:, None, :],
                     ys - d[:, None] * np.sin(bisector)[:, None, :])
-    sq = dist * dist
-    amp = np.where(dist <= math.sqrt(radio.e_fs / radio.e_mp), radio.e_fs * sq,
-                   radio.e_mp * (sq * sq))
-    total = np.sum(bits * radio.e_elec + bits * amp, axis=-1)
+    total = np.sum(tx_energy(radio, bits, dist), axis=-1)
     runs = np.cumsum(np.diff(np.sort(sector, axis=1), axis=1, prepend=-1) != 0, axis=1) - 1
     width = int(runs[:, -1].max()) + 1
     sizes = np.bincount((runs + width * np.arange(k.size)[:, None]).ravel(),

@@ -36,24 +36,26 @@ def distance_threshold(params: RadioParams) -> float:
 
 def tx_energy(params: RadioParams, bits: int, d):
     """Energy to transmit `bits` over `d` meters: a float for one distance,
-    an array for a 1-D array of distances.
+    an array of the same shape for an array of distances.
 
-    Free space (d^2 dissipation) at or below the crossover distance,
-    multipath (d^4) above it. At exactly the crossover the two branches
-    agree; the free-space branch is used.
+    The energy is bits*e_elec + bits*amp, with amp = e_fs*(d*d) at or below
+    the crossover distance (free space; at exactly the crossover the two
+    branches agree) and e_mp*((d*d)*(d*d)) above it (multipath). Each branch
+    is priced only on its own distances, so a branch that would overflow
+    where it does not apply raises no warning. Products only: no libm call
+    and no CPU-dispatched power, so the bits are the same on every machine.
     """
     given = np.asarray(d, dtype=float)
     d = np.atleast_1d(given)
     if (d < 0).any():
         raise ValueError("distance must be non-negative")
-    amp = bits * params.e_fs * d * d
+    sq = d * d
     far = d > distance_threshold(params)
-    if far.any():
-        # Python's v ** 4 element by element: numpy's vectorised power
-        # differs from it in the last bit on some distances. Neither is exact:
-        # Python's calls libm's pow, whose bits change without glibc's FMA variant
-        amp[far] = [bits * params.e_mp * v ** 4 for v in d[far].tolist()]
-    energy = bits * params.e_elec + amp
+    near = ~far
+    amp = np.empty_like(sq)
+    amp[near] = params.e_fs * sq[near]
+    amp[far] = params.e_mp * (sq[far] * sq[far])
+    energy = bits * params.e_elec + bits * amp
     return float(energy[0]) if given.ndim == 0 else energy
 
 

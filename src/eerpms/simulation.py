@@ -61,7 +61,7 @@ def _population_variance(values) -> float:
     if not values:
         return 0.0
     mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / len(values)
+    return sum((v - mean) * (v - mean) for v in values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,6 @@ class Simulation:
         self._election: ElectionTerms | None = None
         self._alive_ids = np.zeros(0, dtype=np.int64)
         self.clustering_events = 0
-        # rx_sums[j]: j receptions added one at a time, as a head pays them
-        self._rx_sums = np.concatenate(
-            ([0.0], np.cumsum(np.full(n, rx_energy(config.radio, config.radio.packet_bits)))))
         self._election_p = min(1.0, config.cluster_count(n) / n)
         self._epoch_len = int(1.0 / self._election_p)
         self._eligible = np.ones(n, dtype=bool)
@@ -142,7 +139,7 @@ class Simulation:
         self._alive_ids = alive
         self._direct = alive[self.labels[alive] < 0]
         radio = self.config.radio
-        self._head_cost = (self._rx_sums[g.sizes - 1]
+        self._head_cost = ((g.sizes - 1) * rx_energy(radio, radio.packet_bits)
                            + aggregation_energy(radio, radio.packet_bits, g.sizes))
         self._member_counts = tuple(g.sizes.tolist())  # one tuple shared by its rounds
         self.clustering_events += 1

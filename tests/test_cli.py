@@ -235,6 +235,18 @@ class TestUncomputableConfig:
         assert code == 0, err
         assert (tmp_path / "rounds_EERPMS_seed1.csv").is_file()
 
+    def test_far_crossover_runs_without_warning(self, capsys, tmp_path):
+        # crossover 1e79 m: every link of a 1e78 m field is free space, and
+        # its multipath price, e_mp * d**4, would overflow
+        config = tmp_path / "far.ini"
+        config.write_text("[radio]\ne_mp_pj = 1e-157\n[network]\nradius_m = 1e78\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                                   "--max-rounds", "2", "--out", str(tmp_path))
+        assert code == 0, err
+        assert (tmp_path / "rounds_EERPMS_seed1.csv").is_file()
+
 
 class TestSweep:
     def test_runs_spec_file(self, capsys, tmp_path):

@@ -28,72 +28,72 @@ LARGE = dict(seed=1, max_rounds=300, initial_energy_j=0.1)
 
 GOLDEN = [
     ("paper-seed1", E, dict(seed=1),
-     "0af13de81ba49745a32af44a7080a46c7250124fb071c1c53d201747b181de57",
-     "8cad39405893ee4aa812338199ca938445988e9fba7eff986657ef7f2054f834"),
+     "7b278563beb1dd6f57cd8ddd7092ae080b9c8b4d5c229d25aeed3a70c3cc1754",
+     "39407306e0517860ec16a3ca01bd6c7fb6c0cdb42836987c2dd0d2ea41387919"),
     ("paper-seed1", R, dict(seed=1),
-     "6639bf1bd1095bb3ca370e9cebf08befee3167ca0cb0c8affe52501637b04bbf",
-     "8f172126e7259067785110d95db57f7ed663cb821d615be9d9f546fb6da17f54"),
+     "3caa6299005bc80630e1fd9e20c88986f26ed524c81b8a3174094501d26df488",
+     "9d1a3c68a31e16f47162cd2c81211557132b5d9d27ffcbdaadececfe909297a2"),
     ("paper-seed1", C, dict(seed=1),
-     "9998e327c17d986ec09a51c474b5b4c72f002842144b6fe3c1c767712d33ddec",
-     "e3e80c1424343b6a89f71f12a600ce749e0eb0559f3102131516a3bf0ec58e83"),
+     "28612c1535862725db3ba21bf6066fd18cede332b80da670a43d7d78434c2974",
+     "19290f0b6675ec40c69d87852955c18347a28877dd8a22302cfd618397a8a949"),
     ("paper-seed2", E, dict(seed=2),
-     "402844b4381240b8fd6070ee50ddec266c6340ef4c6e447a5cb2b64af09f7865",
-     "f984cbce79eb8b99ecb0764f7dc097efb89adca2ee394e88f1b73a29b4623206"),
+     "05f1994f5efea86c859fd2c899050d44097f5ef852bf72bb31a3b2ac50272da9",
+     "cd3078878c90ce3f37b5bc0f38a8521c4e37f81a14c3c434b6808b01f826a1c8"),
     ("paper-seed2", R, dict(seed=2),
-     "b67b3e9c1e7178eeacd6ff2a576f6fa21241908f18eaf8916521d430afe43940",
-     "788e444743c91e2108335ec3a5d00465a6100485448eba499b042b8e1d3f24a2"),
+     "bf6ebbea83903833d6fd6489706abaebc1a68e487049e121c6879c44e44feb3b",
+     "d94e8846616d7e373eccb5ff4a05b5cf34a66d964b5c8f0e4c4d74a5b1e337db"),
     ("paper-seed2", C, dict(seed=2),
-     "1a514133dffc5a7b714be1add7a2d3bdc26042c48c22a654fb00b51a43b352f5",
-     "0335e1dbb848b9523ae5ef8d93872a3018936c44f2532c47b967bf9ff1062eae"),
+     "5a22bf3d7a8a9a21f09f8e2bae61b0f8bf58456379528917498c52a701e7e898",
+     "eabf2000b7b7e3c4b82721416f600922aac045b7dab724ff51e365ee72b165e9"),
     ("paper-seed3", E, dict(seed=3),
-     "de1fa76c8e570163677491f8626179d03fd7b5b6c087e8e1e904720cd131369b",
-     "7ee5c230f7a2307dab7c99b5937f1a8ac806cfb548df7484f03cd1a54a564eea"),
+     "543aac1a5da7b32cc04f1f3c55f38bf523b1578ec0bdc750b4689bed03b51ea1",
+     "8926d1f752045de6eb2190610cf8b24ca4329da0bfa9d197f02f911da790323b"),
     ("paper-seed3", R, dict(seed=3),
-     "ebde1575d135e0fe51427fa2c3ed6a63907bbb66a53576c3d689f8a78292de7f",
-     "c92c5f2ae8616ae3410a6777ff7535a58aba258ad4ec84c2208b35a59b046219"),
+     "442f5839807f6b51150e5e041d91d171e591014b1317c7c4a4fcc9707004dae8",
+     "09b02af4f757f5fe0835f43f1cda8a8404f0f3b07902ae8f6adc121b070d32b5"),
     ("paper-seed3", C, dict(seed=3),
-     "7c206fe7a202da742e7cbeb676d4703390d2c479de307cdccab776c79f20da3a",
-     "ac7324be5868fdd2d185273288305f6c637b3dd512c9c709b6f984e019348e75"),
+     "98007d537cfd36519f4a65857b6f7a16d55f4de91653be29f0a9e7b01ac206bc",
+     "fe2586d99793f9f624f09cfc0f699ff8821f361fae47a2453c3ba82f403ab209"),
     ("auto-n60", E, AUTO,
-     "ce9fce121cb1975b081191b9230d958cd0bc80d1425256bc9d2d2eba9cf35ba8",
-     "ba18f20c618f81b7daeed87cf7aec129d7add4de140b5c30433ed71c762de1ba"),
+     "067b940370bbffdaf8e8242be230e78ea11b7241b894458fe2c0afdafa1e0ff4",
+     "9477dbd884a6a2d32767350719ff570a36a0317f1b55a1a06a1ac1d209ae5d86"),
     ("auto-n60", R, AUTO,
-     "03be62f17153318aa0cdeff742e0c5450043fca6e65754522382304ed1958cc4",
-     "0ec21b4b58919314bb11d70e37a2c0f766fa3ee30f71217b06706f4cf86ae3a7"),
+     "328b4666d7c9d3cdf40d122a8639bd334a332cc7c56cc86f80cac98f5301faf4",
+     "9da1e18d60127c9873e2c257dd1f22adc1abfcd16cc775e90b72a9e8979e4a3c"),
     ("auto-n60", C, AUTO,
-     "227f115647c481f3a5f08a54d0cf7a85bc4be49997f84ed8a10e6487c03ad14d",
-     "e35f05fef6b33d303050d3b0b794c79f639d868194bb5ebdb63e7c3c341d1298"),
+     "73392741f06d96f56bb869b8b6dcd0264abbd7b33346d1a5723eba20d87bc58b",
+     "d516d3ab3178d4afebc272591316fc5ce2a83ae6ebaebb40224f1fc7b56bad4c"),
     ("tiny-n3", E, TINY,
      "2fc881d7d3e683a23a9b5b1d26c115d2f3b60e3d791dd48896805f95f129f517",
      "468eee0f33144ba10441e203ae4f05f8da1c98bda1158944221b22dc1a9a5f05"),
     ("tiny-n3", R, TINY,
      "aed644784437489e909dc567dbb7a1e5deb72f7dc888ba9d19fc7372fb5490f8",
-     "f5cdcefebe148ce9af00a2c475e86530b13c321bc90f4cb673c8a044e03f5a79"),
+     "e4cd7d61e938a59d50b4374d47f9475c6951390cdc18b250db93c42a0f9d24e3"),
     ("tiny-n3", C, TINY,
      "2fc881d7d3e683a23a9b5b1d26c115d2f3b60e3d791dd48896805f95f129f517",
      "ea4c696599ecd58d12e417654c4f0073e9d0fdb07992236091987b207cc0228d"),
     # k = 1 for the whole run: the bat returns the empty threshold set unsearched
     ("k1-n60", E, dict(node_count=60, seed=4, k_clusters=1, initial_energy_j=0.05),
-     "fb7b2fdb3e3ce2df205d177ff19bdcf9e0788ce9ed29e9d64c3a9eb0fc69647b",
-     "809aa094c51310a7a561adf29cc5f4c0aa11c196db880e76d40294f593acba03"),
+     "bb141715cec22e720b8e129d747e49222235f5266214989749548adc8bd44347",
+     "33b147f2c1bd2c3973022c912bbcca40294eba85720f86d59769413532a4852b"),
     ("n250-b360", E, dict(LARGE, node_count=250, bin_count=360),
-     "fbbfedfa07c2b919e21afe59fecf4f34cf06fc484c419f6a9c42efd3ececec93",
-     "a364644a01a31b6ba5bd5bfc52600947867ba9706ae3da498fdb1a9324ad986f"),
+     "18fcf7e9b913aaede1681585887a449863a17e478f02831e211c4604ab944b85",
+     "751957f97003a8c33e06504c8b204cbf9fef634babe3dbd50eb1af39f61e9cef"),
     ("n250-b720", E, dict(LARGE, node_count=250, bin_count=720),
-     "68c86d6ef1087e617f9b64dd2490616550f8cd387f43b540ac403d5ba213af39",
-     "45af9e989268d4da17469ba79c5d80689945a830ccb25a80af8c4db7e0e5f737"),
+     "9029609a7d32f503080743f8838d589b8a8dc60edc40f372bdc7d7b184cfac5d",
+     "99b0baa658fa1f8881138e8c269908db7f476b9f2bd048dca45d7e95687db6fe"),
     ("n1000-b360", E, dict(LARGE, node_count=1000, bin_count=360),
-     "30924a56a44ba3cf9e07b9272216d18c88f8e4e5fa3b4faf7d33a4120097302f",
-     "112443d492b7d46c64eac9f4c1e92d99362d0ff4b6fd6b1bb91bb89043e2ca9f"),
+     "ed4e204972ea316d62a4cde62e78639b531ca7884097dd2af492ee1acaa4691d",
+     "1860eb204d9dbafcbb607fd3d9f9dccb5c6eb8018c242e82a8ecf4c1f302da43"),
     ("n1000-b720", E, dict(LARGE, node_count=1000, bin_count=720),
-     "85f63737a76659feeaccfb126fe23c4171cf4a63bf60ce566f3292bd65092a14",
-     "72013fd2b2a199ffc059a3fbaec072d3118e3ba23812379f2dcb01ed9ef8aecc"),
+     "8d7073572caf5738e7ae9b38588ffd585aef2115a8a33b5d6ca04222bb9868ba",
+     "a0ef6f49ed7fb66e6c241f5a4cf8ac2e60ae2e6954bbee2de550d7ac9c49e1ed"),
     ("n1000", R, dict(LARGE, node_count=1000, max_rounds=400),
-     "0c9fd2acd8807290cdf744fad9b72d934d6924818186505ee7f835db8e06d885",
-     "f7e46972f66cf3e2d84d7cb8dd09008ac35e0c7c6d75c6d0bca5fd93770b719b"),
+     "55be4e039ccc4bf862bc88e52fa21f28df4692ef5bf4479462a98711f5f56100",
+     "a5c44d09c9e35a6f9b82b085fa4ed0f6f3f2813ffbbf28dc3c871e3fb9dc5e1a"),
     ("n1000", C, dict(LARGE, node_count=1000),
-     "b38ab961db797a7122753d70351a1d533985a6229553fd59a3eb31e8899602d3",
-     "f9a2698f78f32ae383e53996659c0ac0b264cb6613ad9cd380f09d5db6adb540"),
+     "1b77f26dc2984c1d47e43b0b1b67561575369065ff9bb83754e8456040789991",
+     "0f5bac2b29e21dc9997100f0afee9911217aa9c86c03a4265a53ef2c0dc0f8fa"),
 ]
 
 

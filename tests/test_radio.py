@@ -40,11 +40,12 @@ def test_tx_energy_rejects_negative_distance():
 
 
 def test_tx_energy_array_matches_plain_python():
-    # bit for bit, both branches: d ** 4 must be Python's, not numpy's power
+    # bit for bit, both branches: d^2 is d*d and d^4 is (d*d)*(d*d), products
+    # with one rounding each, never a power
     dists = np.linspace(0.0, 300.0, 30_001)
     d_th = distance_threshold(DEFAULTS)
-    plain = [4000 * DEFAULTS.e_elec + 4000 * DEFAULTS.e_fs * d * d if d <= d_th
-             else 4000 * DEFAULTS.e_elec + 4000 * DEFAULTS.e_mp * d ** 4
+    plain = [4000 * DEFAULTS.e_elec + 4000 * (DEFAULTS.e_fs * (d * d)) if d <= d_th
+             else 4000 * DEFAULTS.e_elec + 4000 * (DEFAULTS.e_mp * ((d * d) * (d * d)))
              for d in dists.tolist()]
     assert tx_energy(DEFAULTS, 4000, dists).tolist() == plain
     assert tx_energy(DEFAULTS, 4000, 123.4) == plain[12_340]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eerpms import (
@@ -16,8 +16,10 @@ from eerpms import (
     deploy,
     predicted_round_energy,
     run_simulation,
+    rx_energy,
     tx_energy,
 )
+from eerpms.experiments import _mean_sd
 
 FAST = dict(max_rounds=250)
 
@@ -44,7 +46,7 @@ class ReferenceSimulation(Simulation):
         served = np.flatnonzero(sizes)
         head_ids = self.heads[served]
         received = np.bincount(labels[senders], minlength=self.heads.size)[served]
-        cost[head_ids] += (self._rx_sums[received]
+        cost[head_ids] += (received * rx_energy(radio, bits)
                            + aggregation_energy(radio, bits, sizes[served])
                            + tx_energy(radio, bits, self.d_bs[head_ids]))
 
@@ -100,6 +102,25 @@ class TestRoundMetrics:
     def test_no_heads_give_zero(self):
         m = self.metrics((), ())
         assert (m.ch_energy_mean_j, m.ch_energy_var, m.member_count_var) == (0.0, 0.0, 0.0)
+
+    # round 636 of the auto-n60 EERPMS golden run: one deviation's square
+    # taken as (v - mean) ** 2, through libm's pow, is one bit off v*v
+    @example(energies=[0.002359355715084291, 0.0027310795132781673, 0.0024125234241352267,
+                       0.0019199233271857963, 0.0019552820237797863, 0.0027358685169373287,
+                       0.0025388836914504442], counts=[8] * 7)
+    @given(energies=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1),
+           counts=st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1))
+    def test_variances_are_sums_of_products(self, energies, counts):
+        def variance(values, ddof):
+            mean = sum(values) / len(values)
+            return sum((v - mean) * (v - mean) for v in values) / (len(values) - ddof)
+
+        m = self.metrics(tuple(energies), tuple(counts))
+        assert m.ch_energy_var == variance(energies, 0)
+        assert m.member_count_var == variance(counts, 0)
+        for values in (energies, [float(c) for c in counts]):
+            sd = math.sqrt(variance(values, 1)) if len(values) > 1 else 0.0
+            assert _mean_sd(values) == (sum(values) / len(values), sd)
 
 
 class TestDeploy:
