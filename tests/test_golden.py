@@ -1,14 +1,24 @@
 """Golden digests of the CSV outputs, and the text the theory commands print.
 
-Each rounds case pins the SHA-256 of `write_rounds_csv` output for one
-(protocol, config) run, and of the run's full per-round metrics. The sweep
-cases pin `summary.csv`, `improvements.csv` and a landscape CSV. The
-`theory` and `verify` cases pin their standard output as text, and the two
-landscape CSVs `verify` writes as digests. A change to the simulator that
-keeps its outputs must keep these; one that changes floats on purpose
-re-baselines them once and says so in CHANGES.md.
+The rounds runs are pinned in two tiers:
+- bytes: the SHA-256 of `write_rounds_csv` output for one (protocol, config)
+  run, and of the run's full per-round metrics;
+- integer events: the SHA-256 of what the run decided, per round the index,
+  alive count, head count, member counts and dead ids, with no float in it.
+  Every bytes case is pinned here too, and so is the default-config N=250
+  EERPMS run, whose clustering has moved with last bits before.
+
+A move of the bytes tier alone is a last-bit re-pin, declared once in
+CHANGES.md. A move of the integer tier is a change of behaviour, declared
+with the lifetimes of each moved run.
+
+The sweep cases pin `summary.csv`, `improvements.csv` and a landscape CSV.
+The `theory` and `verify` cases pin their standard output as text, and the
+two landscape CSVs `verify` writes as digests. A change to the simulator
+that keeps its outputs must keep these.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -97,21 +107,97 @@ GOLDEN = [
 ]
 
 
-def rounds_digests(tmp_path, protocol, overrides) -> tuple[str, str]:
-    """SHA-256 of the rounds CSV, and of every round's full metrics
-    (`spent_j`, per-head spend, member counts and dead ids are not in the CSV)."""
+# test id -> (protocol, overrides) of every pinned rounds run
+RUNS = {f"{name}-{p.value}": (p, overrides) for name, p, overrides, *_ in GOLDEN}
+# the default config at N=250, pinned by its integer events only: a last-bit
+# change of the threshold objective has moved its lifetimes before
+RUNS["default-n250-EERPMS"] = (E, dict(node_count=250))
+
+EVENT_DIGESTS = {
+    "paper-seed1-EERPMS":
+    "d57bf74d5b1cf509c630793adc6fdf0ab7e753da790ee23e39d581d2e0cd776b",
+    "paper-seed1-RLEACH":
+    "bf99dbe0ccd55e969b62713a3a0d0f76f5ad2a30c29d75fda337d89367abf513",
+    "paper-seed1-CRPFCM":
+    "b391986fb191b0ad16b263e4c9d2e4148962d878fe688057ac0150d6af62251a",
+    "paper-seed2-EERPMS":
+    "e5fd85d61f45ccf74afdaa2fef2aa486d59d58a5c38cfe9692aa793cc73521ea",
+    "paper-seed2-RLEACH":
+    "a9ab4dde2054e3d7ef862046b7f5a49ddc28f3a5da588fcbf906ef7cbf0da39d",
+    "paper-seed2-CRPFCM":
+    "3e0d66a1810b2bda460de79f3fb4d64a67dcd72d7539f513ac089b8e340913dc",
+    "paper-seed3-EERPMS":
+    "9bed4ca3fc04192295a18e93b25013eb2bde6914298ad59d46f531c39b07ef6b",
+    "paper-seed3-RLEACH":
+    "a1b7a0294c73123f54c730a478bb5eae3f4865b48863ff3f62eb95cf30136c57",
+    "paper-seed3-CRPFCM":
+    "e53be7613d47c496b0ddff24af8905547a13e0ab47df6f38ff1ffc9bc464bd7d",
+    "auto-n60-EERPMS":
+    "e643eceb4f9eb3d15213a9a727d5afdacbbe4b004181d1103b3338388c43d5c4",
+    "auto-n60-RLEACH":
+    "a71ebcfd8d4a4515248813b383aa5cefe77143e924aba3fa39365e9b951fa07b",
+    "auto-n60-CRPFCM":
+    "fb6faa22144ee81c2575a0661270fb44697e38c9fb56323d30f744054af339a5",
+    "tiny-n3-EERPMS":
+    "fac577703b59776f31c8817ae46ff41966c6a8075a8b1f614829512df997c48a",
+    "tiny-n3-RLEACH":
+    "4aa162c7a8948434c947105a649561e82c9fd39eabcf4932445523afc6eb9d3c",
+    "tiny-n3-CRPFCM":
+    "fac577703b59776f31c8817ae46ff41966c6a8075a8b1f614829512df997c48a",
+    "k1-n60-EERPMS":
+    "dcc4f1f2b3a736814d6e337cfdeb345b956450f1c1fb1b2eab2b93ae075aae7a",
+    "n250-b360-EERPMS":
+    "e17cb0354cde1db5b56486aba15c47725c8a944d0c6c1cb59f4bfbcffa5aa2df",
+    "n250-b720-EERPMS":
+    "d6cea46f52aaf09580c26cc866471b20ed5aa5ab773e6aaecf40038d271025ab",
+    "n1000-b360-EERPMS":
+    "5f214f34c7d3f048d777612d474f2d7c513433a4d77ce50ebd37e954c17d97eb",
+    "n1000-b720-EERPMS":
+    "e0e0d045df0a97218aba8c90e6f9aaef47f6300337643710a637badf9b384019",
+    "n1000-RLEACH":
+    "efb0cf0eb0851b68cd0fc32e7c3654887546e0ba62a74fe917b234d5357487c7",
+    "n1000-CRPFCM":
+    "36260c4e95953b6c1b0c88dca74dad147b23d573f323a794691cdf923ccc0929",
+    "default-n250-EERPMS":
+    "2ef56c88d4f3800da4773c2ee3825176be381c001cccbbadb2de0241aac0fe3f",
+}
+
+
+@functools.cache
+def simulate(run_id):
+    """The run's per-round metrics, simulated once per test session."""
+    protocol, overrides = RUNS[run_id]
     result = run_simulation(NetworkConfig(protocol=protocol, **overrides))
     assert result.lifetime.ldn_round is not None, "run must reach last death"
+    return result.rounds
+
+
+def rounds_digests(tmp_path, run_id) -> tuple[str, str]:
+    """SHA-256 of the rounds CSV, and of every round's full metrics
+    (`spent_j`, per-head spend, member counts and dead ids are not in the CSV)."""
+    rounds = simulate(run_id)
     path = tmp_path / "rounds.csv"
-    write_rounds_csv(path, result.rounds)
+    write_rounds_csv(path, rounds)
     return (hashlib.sha256(path.read_bytes()).hexdigest(),
-            hashlib.sha256(repr(result.rounds).encode()).hexdigest())
+            hashlib.sha256(repr(rounds).encode()).hexdigest())
+
+
+def event_digest(rounds) -> str:
+    """SHA-256 of the integer events of every round."""
+    events = [(m.round_index, m.alive_count, m.ch_count, m.member_counts, m.dead_node_ids)
+              for m in rounds]
+    return hashlib.sha256(repr(events).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name, protocol, overrides, csv_digest, metrics_digest", GOLDEN,
                          ids=[f"{name}-{p.value}" for name, p, *_ in GOLDEN])
 def test_rounds_csv_digest(tmp_path, name, protocol, overrides, csv_digest, metrics_digest):
-    assert rounds_digests(tmp_path, protocol, overrides) == (csv_digest, metrics_digest)
+    assert rounds_digests(tmp_path, f"{name}-{protocol.value}") == (csv_digest, metrics_digest)
+
+
+@pytest.mark.parametrize("run_id", RUNS)
+def test_rounds_event_digest(run_id):
+    assert event_digest(simulate(run_id)) == EVENT_DIGESTS[run_id]
 
 
 # 60 rounds on 0.02 J: some cells see every last death, some a part of them
