@@ -98,11 +98,12 @@ class NetworkConfig:
                             ("bat max_iterations", self.bat.max_iterations)):
             if count > _INT64_MAX:
                 raise ConfigError(f"{name} must fit a 64-bit integer")
-        # the per-node arrays, the bat's (population, k - 1) arrays, FCM's
-        # (n, k) buffers and the (occupied bins + 1)**2 segment table of the
-        # threshold objective, at the largest k a run clusters into
+        # the per-node arrays, the angle histogram (the first two bounds keep
+        # its index sums below 2**62), the bat's (population, k - 1) arrays,
+        # FCM's (n, k) buffers and the (occupied bins + 1)**2 segment table
+        # of the threshold objective, at the largest k a run clusters into
         k = min(self.cluster_count(self.node_count), self.bin_count)
-        for name, size in (("node_count", self.node_count),
+        for name, size in (("node_count", self.node_count), ("bin_count", self.bin_count),
                            ("bat population * k", self.bat.population * k),
                            ("node_count * k", self.node_count * k),
                            ("(min(node_count, bin_count) + 1)**2",

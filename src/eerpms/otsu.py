@@ -69,8 +69,10 @@ class ThresholdSet:
 class AngleHistogram:
     """Counts of node angles over `bin_count` equal bins of [0, 2*pi).
 
-    Prefix sums of the bin probabilities, index-weighted probabilities and
-    raw counts are precomputed so that any segment statistic is O(1).
+    `cum_counts` and `cum_index` are int64 prefix sums of count_b and
+    b * count_b, so any segment's node count c and index sum W is O(1) and
+    exact: both stay below total * bin_count <= 2**62 (`NetworkConfig`
+    bounds each factor by 2**31).
     """
 
     def __init__(self, counts) -> None:
@@ -85,46 +87,36 @@ class AngleHistogram:
         self.counts = counts
         self.bin_count = int(counts.size)
         self.total = total
-        p = counts / total
-        idx = np.arange(self.bin_count)
-        self.p = p
-        self.cum_p = np.concatenate(([0.0], np.cumsum(p)))
-        self.cum_ip = np.concatenate(([0.0], np.cumsum(idx * p)))
+        weighted = np.arange(self.bin_count) * counts
         self.cum_counts = np.concatenate(([0], np.cumsum(counts)))
-        self.mean = float(self.cum_ip[-1])
-        self.variance = float(np.sum(p * (idx - self.mean) ** 2))
-        self._f2_terms: dict[int, np.ndarray] = {}
+        self.cum_index = np.concatenate(([0], np.cumsum(weighted)))
+        # N * Q - M**2, N**2 times the variance, in exact Python integers
+        m = int(self.cum_index[-1])
+        spread = sum(b * w for b, w in enumerate(weighted.tolist())) * total - m * m
+        self.variance = spread / (total * total)
+        self._f1_offset, self._f1_scale = m * m / total, spread / total  # M**2/N, Q - M**2/N
 
     @functools.cached_property
     def segment_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every segment's f1 term and node count, for lookup by boundary rank.
+        """Every segment's f1 term W**2 / c (0 when empty) and squared node
+        count c**2, for lookup by boundary rank.
 
-        Returns (rank, f1_terms, counts). `rank[b]` is the number of occupied
-        bins below boundary b: the prefix sums stay bitwise constant across
-        empty bins (each adds 0.0), so boundaries of equal rank give equal
-        segment statistics. Entry [ra * width + rb] of the flat (width**2,)
-        tables, width = occupied bins + 1, holds the segment from rank ra to
-        rank rb: its f1 term w * (u - mean)**2, from its probability mass w
-        and mean bin index u (0 for an empty segment), and its node count.
+        Returns (rank, f1_terms, sq_counts). `rank[b]` is the number of
+        occupied bins below boundary b: the prefix sums are constant across
+        empty bins, so boundaries of equal rank give equal segments. Entry
+        [ra * width + rb] of the flat (width**2,) tables, width = occupied
+        bins + 1, is the segment from rank ra to rank rb. c**2 <= 2**62 is
+        exact in int64; each f1 term is W**2 / c rounded once while
+        total * (bin_count - 1) <= 94 906 265, so that W * W <= 2**53.
         """
         rank = np.concatenate(([0], np.cumsum(self.counts > 0)))
         first = np.diff(rank, prepend=-1).nonzero()[0]  # one boundary per rank
-        cum_p, cum_ip, cum_counts = self.cum_p[first], self.cum_ip[first], self.cum_counts[first]
-        mass = cum_p[None, :] - cum_p[:, None]
-        weighted = cum_ip[None, :] - cum_ip[:, None]
-        u = np.divide(weighted, mass, out=np.zeros_like(weighted), where=mass > 0)
-        f1_terms = mass * (u - self.mean) ** 2
+        cum_counts, cum_index = self.cum_counts[first], self.cum_index[first]
         counts = cum_counts[None, :] - cum_counts[:, None]
-        return rank, f1_terms.ravel(), counts.ravel()
-
-    def f2_terms(self, k: int) -> np.ndarray:
-        """(count - total/k)**2 for every entry of the segment table's counts,
-        the summands of the f2 term of a k-way split; cached per k."""
-        table = self._f2_terms.get(k)
-        if table is None:
-            table = (self.segment_table[2] - self.total / k) ** 2
-            self._f2_terms[k] = table
-        return table
+        index_sums = (cum_index[None, :] - cum_index[:, None]).astype(np.float64)
+        f1_terms = np.divide(index_sums * index_sums, counts,
+                             out=np.zeros(counts.shape), where=counts > 0)
+        return rank, f1_terms.ravel(), (counts * counts).ravel()
 
 
 def _angle_bins(angles, bin_count: int) -> np.ndarray:
@@ -151,16 +143,20 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
     of each row of a (batch, k-1) matrix of sorted thresholds, read from the
     histogram's segment table.
 
-    The angle term f1 is the between-segment variance of mean bin indices,
-    weighted by mass, over the total histogram variance (0 when the
-    histogram is degenerate). The balance term is 1/(1 + f2), f2 the mean
-    squared deviation of segment populations from the even split total/k,
-    normalized by the total, so maximizing it evens out the populations.
+    With c_j and W_j the node count and index sum of segment j, and N, M
+    and Q the sums of count_b, b * count_b and b**2 * count_b, the angle term
+    is the between-segment variance over the total one in the between-class
+    form of Otsu (IEEE Trans. SMC 9(1), 1979), (sum of W_j**2 / c_j - M**2/N)
+    / (Q - M**2/N), 0 for a degenerate histogram; its two constants are
+    rounded once from exact integers. The balance term 1/(1 + f2), f2 = sum
+    of (c_j - N/k)**2 / N, is kN / (kN + kS - N**2) with S = sum of c_j**2,
+    exact in int64 and multiplied by k in float64: while k * N * (N + 1) <=
+    2**53 every operand is an exact integer and the term correctly rounded.
 
     Every row must be a valid threshold set for the histogram, strictly
     increasing within [1, bin_count - 1], as `ThresholdSet` and `validate_for`
     require; a (batch, 0) matrix scores the single segment k = 1. Each
-    set's f1 and f2 terms are added in segment order, left to right, so a set
+    set's f1 terms are added in segment order, left to right, so a set
     scores the same alone as in any batch.
     """
     tmat = np.asarray(tmat, dtype=np.int64)
@@ -174,8 +170,8 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
                           or not (thresholds[1:] > thresholds[:-1]).all()):
         raise ValueError("threshold rows must be strictly increasing "
                          "within [1, bin_count - 1]")
-    k = dim + 1
-    rank, f1_terms, _ = h.segment_table
+    k, n = dim + 1, h.total
+    rank, f1_terms, sq_counts = h.segment_table
     width = rank[-1] + 1
     ranks = np.empty((k + 1, batch), dtype=np.int64)
     ranks[0] = 0
@@ -184,9 +180,9 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
     seg = ranks[:-1] * width
     seg += ranks[1:]
     f1 = _sum_segments(f1_terms[seg])
-    f2 = _sum_segments(h.f2_terms(k)[seg]) / h.total
-    f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
-    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
+    f1_norm = (f1 - h._f1_offset) / h._f1_scale if h._f1_scale > 0 else np.zeros(batch)
+    balance = float(k * n) / (sq_counts[seg].sum(axis=0) * float(k) + float(k * n - n * n))
+    return w.alpha1 * f1_norm + w.alpha2 * balance
 
 
 def _sum_segments(terms: np.ndarray) -> np.ndarray:

@@ -40,10 +40,12 @@ def tx_energy(params: RadioParams, bits: int, d):
 
     The energy is bits*e_elec + bits*amp, with amp = e_fs*(d*d) at or below
     the crossover distance (free space; at exactly the crossover the two
-    branches agree) and e_mp*((d*d)*(d*d)) above it (multipath). Each branch
-    is priced only on its own distances, so a branch that would overflow
-    where it does not apply raises no warning. Products only: no libm call
-    and no CPU-dispatched power, so the bits are the same on every machine.
+    branches agree) and e_mp*((d*d)*(d*d)) above it (multipath). A discarded
+    branch raises no overflow warning of its own: the multipath one squares 0
+    there, and above the crossover d*d > e_fs/e_mp, so e_fs*(d*d) is below
+    e_mp*(d*d)**2 and overflows only where the energy does. Products only: no
+    libm call and no CPU-dispatched power, so the bits are the same on every
+    machine.
     """
     given = np.asarray(d, dtype=float)
     d = np.atleast_1d(given)
@@ -51,10 +53,8 @@ def tx_energy(params: RadioParams, bits: int, d):
         raise ValueError("distance must be non-negative")
     sq = d * d
     far = d > distance_threshold(params)
-    near = ~far
-    amp = np.empty_like(sq)
-    amp[near] = params.e_fs * sq[near]
-    amp[far] = params.e_mp * (sq[far] * sq[far])
+    q = np.where(far, sq, 0.0)
+    amp = np.where(far, params.e_mp * (q * q), params.e_fs * sq)
     energy = bits * params.e_elec + bits * amp
     return float(energy[0]) if given.ndim == 0 else energy
 

@@ -216,18 +216,26 @@ def reference_repair(raw, bins):
 
 
 def reference_objectives(h, tmat, w):
-    """The objective with its f2 summands recomputed on every call."""
+    """The objective from prefix sums of the bin counts, every sum recomputed
+    on every call."""
     batch, dim = tmat.shape
     k = dim + 1
-    rank, f1_terms, seg_counts = h.segment_table
-    ranks = np.column_stack((np.zeros(batch, dtype=np.int64), rank[tmat],
-                             np.full(batch, rank[-1])))
-    seg = ranks[:, :-1] * (rank[-1] + 1) + ranks[:, 1:]
+    bins = np.arange(h.bin_count)
+    cum_counts = np.concatenate(([0], np.cumsum(h.counts)))
+    cum_index = np.concatenate(([0], np.cumsum(bins * h.counts)))
+    n, m = int(cum_counts[-1]), int(cum_index[-1])
+    spread = int(np.sum(bins * bins * h.counts)) * n - m * m
+    bounds = np.column_stack((np.zeros(batch, dtype=np.int64), tmat,
+                              np.full(batch, h.bin_count)))
+    counts = np.diff(cum_counts[bounds], axis=1)
+    index_sums = np.diff(cum_index[bounds], axis=1).astype(np.float64)
+    terms = np.divide(index_sums * index_sums, counts, out=np.zeros(counts.shape),
+                      where=counts > 0)
     # each set's segment terms added in segment order, left to right
-    f1 = functools.reduce(np.add, f1_terms[seg].T)
-    f2 = functools.reduce(np.add, ((seg_counts[seg] - h.total / k) ** 2).T) / h.total
-    f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
-    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
+    f1 = functools.reduce(np.add, terms.T)
+    f1_norm = (f1 - m * m / n) / (spread / n) if spread else np.zeros(batch)
+    balance = float(k * n) / ((counts * counts).sum(axis=1) * float(k) + float(k * n - n * n))
+    return w.alpha1 * f1_norm + w.alpha2 * balance
 
 
 def reference_step(s):

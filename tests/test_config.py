@@ -125,6 +125,14 @@ def test_out_of_range_named(fields, message):
     assert str(info.value) == message
 
 
+def test_bin_count_bounded_as_an_array_size():
+    # a run would histogram into bin_count bins; the config is only constructed
+    NetworkConfig(bin_count=2 ** 31)
+    with pytest.raises(ConfigError) as info:
+        NetworkConfig(bin_count=2 ** 40)
+    assert str(info.value).startswith("bin_count must not exceed 2**31")
+
+
 def test_malformed_file_rejected(tmp_path):
     path = write(tmp_path, "node_count = 5\n")  # a key before any section header
     with pytest.raises(ConfigError) as info:

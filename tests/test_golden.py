@@ -159,7 +159,7 @@ EVENT_DIGESTS = {
     "n1000-CRPFCM":
     "36260c4e95953b6c1b0c88dca74dad147b23d573f323a794691cdf923ccc0929",
     "default-n250-EERPMS":
-    "2ef56c88d4f3800da4773c2ee3825176be381c001cccbbadb2de0241aac0fe3f",
+    "4ef4a625a058604f29c4825c54399353b059d0763c3d190e47484a7849d2825c",
 }
 
 

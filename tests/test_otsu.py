@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -42,20 +43,29 @@ def score(h, t, w):
     return float(evaluate_threshold_sets(h, row, w)[0])
 
 
-# The objective written out one threshold set at a time from the prefix sums,
-# as the plain reference for `evaluate_threshold_sets` and the exhaustive search.
+# The objective written out one threshold set at a time from the bin counts,
+# in its centred float form, as the plain reference for `evaluate_threshold_sets`
+# and the exhaustive search.
 
 def segment_stats(h, t):
-    """Per-segment (probability mass, mean bin index, node count); the mean
-    of an empty segment is 0 by convention."""
+    """Per-segment (probability mass, mean bin index, node count), summed
+    from the bin counts; the mean of an empty segment is 0 by convention."""
     t.validate_for(h.bin_count)
+    counts = h.counts.tolist()
+    total = sum(counts)
     out = []
     for a, b in itertools.pairwise((0, *t.thresholds, h.bin_count)):
-        w = float(h.cum_p[b] - h.cum_p[a])
-        s = float(h.cum_ip[b] - h.cum_ip[a])
-        nc = int(h.cum_counts[b] - h.cum_counts[a])
-        out.append((w, s / w if w > 0 else 0.0, nc))
+        nc = sum(counts[a:b])
+        s = sum(i * counts[i] for i in range(a, b))
+        out.append((nc / total, s / nc if nc else 0.0, nc))
     return out
+
+
+def index_variance(counts):
+    """Variance of the bin index over the nodes of a list of bin counts."""
+    total = sum(counts)
+    mean = sum(i * c for i, c in enumerate(counts)) / total
+    return sum(c * (i - mean) ** 2 for i, c in enumerate(counts)) / total
 
 
 def f1_angle_variance(h, t):
@@ -69,8 +79,8 @@ def f2_count_variance(h, t):
     """Mean squared deviation of segment populations from the even split,
     normalized by the node total."""
     stats = segment_stats(h, t)
-    target = h.total / t.k
-    return sum((nc - target) ** 2 for _, _, nc in stats) / h.total
+    total = sum(nc for _, _, nc in stats)
+    return sum((nc - total / t.k) ** 2 for _, _, nc in stats) / total
 
 
 def objective_f1(h, t, w):
@@ -78,7 +88,8 @@ def objective_f1(h, t, w):
     degenerate), and 1/(1 + f2)."""
     f1 = f1_angle_variance(h, t)
     f2 = f2_count_variance(h, t)
-    f1_norm = f1 / h.variance if h.variance > 0 else 0.0
+    variance = index_variance(h.counts.tolist())
+    f1_norm = f1 / variance if variance > 0 else 0.0
     return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
 
 
@@ -104,8 +115,7 @@ class TestBuildHistogram:
         rng = np.random.default_rng(5)
         angles = rng.uniform(0, 2 * math.pi, 100)
         h = build_histogram(angles, 360)
-        assert h.counts.sum() == 100
-        assert h.p.sum() == pytest.approx(1.0, rel=1e-12)
+        assert h.counts.sum() == h.total == h.cum_counts[-1] == 100
 
     def test_top_edge_folds_into_last_bin(self):
         h = build_histogram([2 * math.pi * (1 - 1e-12)], 4)
@@ -153,7 +163,7 @@ class TestF1:
         bounds = (0, *t.thresholds, h.bin_count)
         within = 0.0
         for a, b in itertools.pairwise(bounds):
-            seg_p = h.p[a:b]
+            seg_p = h.counts[a:b] / h.total
             w = seg_p.sum()
             if w == 0:
                 continue
@@ -230,32 +240,96 @@ class TestObjective:
             ObjectiveWeights(-0.1, 1.1)
 
 
-def six_gather_objective(h, tmat, w):
-    """The objective read straight from the prefix sums: six gathers and three
-    subtractions per call, no segment table."""
+def integer_sums(counts):
+    """N, M and Q of a list of bin counts: the sums of count_b, b * count_b
+    and b**2 * count_b, as Python integers."""
+    return (sum(counts), sum(b * c for b, c in enumerate(counts)),
+            sum(b * b * c for b, c in enumerate(counts)))
+
+
+def prefix_sum_objective(h, tmat, w):
+    """The objective read straight from prefix sums of the bin counts: four
+    gathers per call, no segment table."""
     tmat = np.asarray(tmat, dtype=np.int64)
     batch, dim = tmat.shape
     k = dim + 1
+    n, m, q = integer_sums(h.counts.tolist())
     bounds = np.empty((batch, k + 1), dtype=np.int64)
     bounds[:, 0] = 0
     bounds[:, -1] = h.bin_count
     if dim:
         bounds[:, 1:-1] = tmat
-    mass = h.cum_p[bounds[:, 1:]] - h.cum_p[bounds[:, :-1]]
-    weighted = h.cum_ip[bounds[:, 1:]] - h.cum_ip[bounds[:, :-1]]
-    counts = h.cum_counts[bounds[:, 1:]] - h.cum_counts[bounds[:, :-1]]
-    u = np.divide(weighted, mass, out=np.zeros_like(weighted), where=mass > 0)
+    cum_counts = np.concatenate(([0], np.cumsum(h.counts)))
+    cum_index = np.concatenate(([0], np.cumsum(np.arange(h.bin_count) * h.counts)))
+    counts = cum_counts[bounds[:, 1:]] - cum_counts[bounds[:, :-1]]
+    index_sums = (cum_index[bounds[:, 1:]] - cum_index[bounds[:, :-1]]).astype(np.float64)
+    terms = np.divide(index_sums * index_sums, counts, out=np.zeros(counts.shape),
+                      where=counts > 0)
     # each set's segment terms added in segment order, left to right
-    f1 = functools.reduce(np.add, (mass * (u - h.mean) ** 2).T)
-    f2 = functools.reduce(np.add, ((counts - h.total / k) ** 2).T) / h.total
-    f1_norm = f1 / h.variance if h.variance > 0 else np.zeros(batch)
-    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2))
+    f1 = functools.reduce(np.add, terms.T)
+    spread = q * n - m * m
+    f1_norm = (f1 - m * m / n) / (spread / n) if spread else np.zeros(batch)
+    balance = float(k * n) / ((counts * counts).sum(axis=1) * float(k) + float(k * n - n * n))
+    return w.alpha1 * f1_norm + w.alpha2 * balance
 
 
 def sorted_threshold_rows(rng, bins, k, batch):
     """`batch` strictly increasing rows of k-1 thresholds in 1..bins-1."""
     base = np.sort(rng.integers(1, bins - k + 2, size=(batch, k - 1)), axis=1)
     return base + np.arange(k - 1)
+
+
+def exact_terms(counts, thresholds):
+    """f1_norm and the balance term of one threshold set as exact rationals,
+    with Q and Q - M**2/N, the denominator of f1_norm."""
+    n, m, q = integer_sums(counts)
+    k = len(thresholds) + 1
+    segments = [(sum(counts[a:b]), sum(i * counts[i] for i in range(a, b)))
+                for a, b in itertools.pairwise((0, *thresholds, len(counts)))]
+    spread = Fraction(q * n - m * m, n)
+    between = sum(Fraction(w * w, c) for c, w in segments if c) - Fraction(m * m, n)
+    s = sum(c * c for c, _ in segments)
+    f1_norm = between / spread if spread else Fraction(0)
+    return f1_norm, Fraction(k * n, k * n + k * s - n * n), q, spread
+
+
+@st.composite
+def split_histograms(draw):
+    """(counts, thresholds) on 1..40 bins: any counts, mostly empty bins, or
+    a single occupied bin; k from 1 to the bin count, and often k = bins."""
+    bins = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["random", "sparse", "single"]))
+    if shape == "single":
+        counts = [0] * bins
+        counts[draw(st.integers(0, bins - 1))] = draw(st.integers(1, 1000))
+    else:
+        values = st.integers(0, 1000) if shape == "random" else st.sampled_from([0, 0, 0, 1, 999])
+        counts = draw(st.lists(values, min_size=bins, max_size=bins))
+        if not sum(counts):
+            counts[draw(st.integers(0, bins - 1))] = 1
+    k = draw(st.one_of(st.just(bins), st.integers(1, bins)))
+    return counts, tuple(sorted(draw(st.permutations(range(1, bins)))[:k - 1]))
+
+
+class TestExactRationals:
+    @settings(max_examples=300, deadline=None)
+    @given(case=split_histograms())
+    def test_terms_within_bounds_of_exact_values(self, case):
+        counts, thresholds = case
+        h = AngleHistogram(counts)
+        t = ThresholdSet(thresholds, len(thresholds) + 1)
+        f1_norm, balance, q, spread = exact_terms(counts, thresholds)
+        assert h.variance == float(spread / h.total)
+        # k * N * (N + 1) is far below 2**53: the balance term is correctly rounded
+        assert score(h, t, BALANCE_ONLY) == float(balance)
+        # W**2 is exact, so each of the k terms W**2/c is rounded once and
+        # the k - 1 additions in order err by at most about k*u*Q, u = 2**-53
+        # (each term is at most its share of Q); M**2/N adds u*Q, and the
+        # difference, Q - M**2/N and the quotient one relative rounding each.
+        # That is below ((k + 1) * Q / (Q - M**2/N) + 4) * u; allowed is twice
+        # it and more.
+        bound = (t.k + 4) * 2.0 ** -52 * (q / spread + 1) if spread else 0
+        assert abs(Fraction(score(h, t, ANGLE_ONLY)) - f1_norm) <= bound
 
 
 class TestSegmentTable:
@@ -274,7 +348,7 @@ class TestSegmentTable:
         batch = max(1, min(rows, 2**18 // (k + 1)))  # at most 2**18 boundaries per call
         tmat = sorted_threshold_rows(rng, bins, k, batch)
         assert np.array_equal(evaluate_threshold_sets(h, tmat, self.W),
-                              six_gather_objective(h, tmat, self.W))
+                              prefix_sum_objective(h, tmat, self.W))
 
     @pytest.mark.parametrize("bins, k, rows", [(2, 1, 1), (2, 2, 65536), (360, 10, 65536),
                                                 (720, 720, 1), (720, 3, 65536)])
@@ -285,7 +359,7 @@ class TestSegmentTable:
         h = AngleHistogram(counts)
         tmat = sorted_threshold_rows(rng, bins, k, rows)
         assert np.array_equal(evaluate_threshold_sets(h, tmat, self.W),
-                              six_gather_objective(h, tmat, self.W))
+                              prefix_sum_objective(h, tmat, self.W))
 
     @pytest.mark.parametrize("bins", [2, 36, 360, 720])
     def test_single_occupied_bin(self, bins):
@@ -299,7 +373,7 @@ class TestSegmentTable:
         for k in sorted({1, 2, bins // 2, bins}):
             tmat = sorted_threshold_rows(rng, bins, k, 500)
             assert np.array_equal(evaluate_threshold_sets(h, tmat, self.W),
-                                  six_gather_objective(h, tmat, self.W))
+                                  prefix_sum_objective(h, tmat, self.W))
 
     def test_every_threshold_set_of_a_small_histogram(self):
         h = AngleHistogram([3, 0, 0, 5, 1, 0, 2, 0, 0, 4, 0, 1])
@@ -307,7 +381,7 @@ class TestSegmentTable:
             combos = list(itertools.combinations(range(1, h.bin_count), k - 1))
             tmat = np.array(combos, dtype=np.int64).reshape(len(combos), k - 1)
             assert np.array_equal(evaluate_threshold_sets(h, tmat, HALF),
-                                  six_gather_objective(h, tmat, HALF))
+                                  prefix_sum_objective(h, tmat, HALF))
 
     @pytest.mark.parametrize("row", [[-1, 5], [5, 2], [0, 5], [2, 8], [3, 3]],
                              ids=["negative", "decreasing", "zero", "past-last-bin", "repeated"])
@@ -320,26 +394,28 @@ class TestSegmentTable:
 
     def test_table_size_is_occupied_bins_plus_one_squared(self):
         h = AngleHistogram([0, 2, 0, 0, 1, 1, 0])
-        rank, f1_terms, counts = h.segment_table
+        rank, f1_terms, sq_counts = h.segment_table
         assert rank.tolist() == [0, 0, 1, 1, 1, 2, 3, 3]
-        assert f1_terms.shape == counts.shape == (16,)
+        assert f1_terms.shape == sq_counts.shape == (16,)
         assert h.segment_table is h.segment_table  # built once per histogram
 
 
 def plain_loop_objective(h, thresholds, w):
     """The objective of one threshold set with a Python loop over its
-    segments, each term read from the segment table and added in order."""
-    rank, f1_terms, _ = h.segment_table
-    width = rank[-1] + 1
+    segments in exact integers: each f1 term W**2 / c rounded once and added
+    in order, and the balance term one correctly rounded ratio."""
+    counts = h.counts.tolist()
+    n, m, q = integer_sums(counts)
     k = len(thresholds) + 1
-    f2_terms = h.f2_terms(k)
-    bounds = [0, *(int(rank[t]) for t in thresholds), int(rank[-1])]
-    f1 = f2 = 0.0
-    for ra, rb in itertools.pairwise(bounds):
-        f1 += float(f1_terms[ra * width + rb])
-        f2 += float(f2_terms[ra * width + rb])
-    f1_norm = f1 / h.variance if h.variance > 0 else 0.0
-    return w.alpha1 * f1_norm + w.alpha2 * (1.0 / (1.0 + f2 / h.total))
+    f1, s = 0.0, 0
+    for a, b in itertools.pairwise((0, *thresholds, len(counts))):
+        c = sum(counts[a:b])
+        index_sum = sum(i * counts[i] for i in range(a, b))
+        f1 += index_sum * index_sum / c if c else 0.0
+        s += c * c
+    spread = q * n - m * m
+    f1_norm = (f1 - m * m / n) / (spread / n) if spread else 0.0
+    return w.alpha1 * f1_norm + w.alpha2 * (k * n / (k * n + k * s - n * n))
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 64])
