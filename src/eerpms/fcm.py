@@ -20,13 +20,14 @@ def fuzzy_c_means(points: np.ndarray, k: int,
 
     Exactness: each iteration does the floating-point operations of the plain
     allocating loop (kept as a reference in `tests/test_fcm.py`) in the same
-    order, or ones that round to the same bits, so labels and centers are
-    equal bit for bit. It writes them into buffers made once per call: the x
-    and y differences (`dx`, `dy`: two views of one (2, n, k) buffer, filled
-    by one product and one square), the squared distances (built in `dx`), the
-    new membership and the previous one (the two swap each iteration), and the
-    membership powers (again `dx`, which the distances no longer need by
-    then); `dy` holds the differences for the stopping test. Row sums stay a
+    order, or ones that round to the same bits, and takes the same BLAS
+    products, so labels and centers are equal bit for bit. It writes them
+    into buffers made once per call: the x and y differences (`dx`, `dy`:
+    two views of one (2, n, k) buffer, filled by one product and one
+    square), the squared distances (built in `dx`), the new membership and
+    the previous one (the two swap each iteration), and the membership
+    powers (again `dx`, which the distances no longer need by then); `dy`
+    holds the differences for the stopping test. Row sums stay a
     contiguous (n, k) reduction along axis 1. The powers d2 ** -1 and u ** 2
     are taken as a reciprocal and a square, which give the bits of numpy's
     `power` for those exponents and cost less.
@@ -39,16 +40,11 @@ def fuzzy_c_means(points: np.ndarray, k: int,
 
     The centre update divides `um.T @ points` by `um.T @ ones`, with ones of
     shape (n, 2), and copies the quotient into the centre rows of the
-    difference products. numpy's `um.sum(axis=0)` adds the n rows one after
-    another, and OpenBLAS's SkylakeX (AVX-512) kernels send a (k, n) x
-    (n, 2) product to a small-matrix kernel while k * n * 2 <= 10**6
-    (n <= 50 000 at k = 10, n <= 1 388 at k = 360); that kernel accumulates
-    each output in order with a fused multiply-add, and a product with 1.0
-    is exact, so the divisor is the plain column sums bit for bit. Beyond
-    that range, or on CPUs where OpenBLAS picks other kernels (its Haswell
-    kernels block the sums from n = 257), the last bits of the centres may
-    differ. `tests/test_fcm.py` checks the sums over every (n, k) the goldens
-    and the benchmark use.
+    difference products. The reference loop takes the same two products, so
+    the bitwise contract holds on any BLAS. The centres' last bits follow
+    the BLAS kernel, as the numerator's always have; no output does, since
+    every golden holds under OpenBLAS's SkylakeX, Haswell, Sandybridge, Zen
+    and Prescott kernels.
 
     The on-centre repair scans for zero distances only when the smallest
     distance is not at least 1e-24, which leaves out exactly the iterations

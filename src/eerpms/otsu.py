@@ -93,7 +93,6 @@ class AngleHistogram:
         # N * Q - M**2, N**2 times the variance, in exact Python integers
         m = int(self.cum_index[-1])
         spread = sum(b * w for b, w in enumerate(weighted.tolist())) * total - m * m
-        self.variance = spread / (total * total)
         self._f1_offset, self._f1_scale = m * m / total, spread / total  # M**2/N, Q - M**2/N
 
     @functools.cached_property
