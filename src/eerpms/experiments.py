@@ -69,10 +69,13 @@ class ExperimentSpec:
             raise ConfigError("k_values must not exceed 2**31, the most elements of one array")
         if not all(d >= 0 and math.isfinite(d) for d in self.d_values):
             raise ConfigError("d_values must be non-negative and finite")
-        # a member transmits over at most d + radius_m to its forced head
+        # a member transmits over at most d + radius_m to its forced head. The
+        # 1 + 2**-40 covers only its rounded distance, a few ulps past that,
+        # crossing into tx_energy's overflowing multipath branch. A cell's and
+        # its seeds' sums are not priced, so they can still overflow.
         base = self.base
-        if not all(_finite_energy(base.radio, d + base.radius_m, base.node_count)
-                   for d in self.d_values):
+        if not all(_finite_energy(base.radio, (d + base.radius_m) * (1.0 + 2.0 ** -40),
+                                  base.node_count) for d in self.d_values):
             raise ConfigError("node_count * the energy of a link over d + radius_m "
                               "must be finite for every d of d_values")
         if self.sweep_axis != "k_dch_grid" and not self.protocols:
@@ -227,31 +230,23 @@ def _forced_energies(xs: np.ndarray, ys: np.ndarray, angles: np.ndarray, radio: 
     integrates: every member transmits to its sector's head position, the
     head receives one packet per other member, fuses the sector's readings
     and forwards a single packet to the sink. Empty sectors cost nothing.
-    Member costs are summed along the rows of a (K, distance, node) array,
-    then each K's sector sizes (run lengths of its sorted sectors) added in
-    ascending sector order, zeros where a K has fewer."""
+    Member costs are summed along the rows of a (K, distance, node) array.
+    Then each K adds in closed form the head terms of its s occupied sectors
+    (one more than the changes in its sorted sectors): N - s receptions,
+    N packets fused, s sent to the sink."""
     if k.min() < 1:
         raise ValueError("k must be at least 1")
-    bits = radio.packet_bits
+    bits, n = radio.packet_bits, xs.size
     kc = k[:, None]
     sector = np.minimum((angles * kc / (2.0 * math.pi)).astype(np.int64), kc - 1)
     bisector = (sector + 0.5) * (2.0 * math.pi / kc)
     dist = np.hypot(xs - d[:, None] * np.cos(bisector)[:, None, :],
                     ys - d[:, None] * np.sin(bisector)[:, None, :])
-    total = np.sum(tx_energy(radio, bits, dist), axis=-1)
-    runs = np.cumsum(np.diff(np.sort(sector, axis=1), axis=1, prepend=-1) != 0, axis=1) - 1
-    width = int(runs[:, -1].max()) + 1
-    sizes = np.bincount((runs + width * np.arange(k.size)[:, None]).ravel(),
-                        minlength=k.size * width).reshape(k.size, width)
-    # m - 1 and m * bits are exact, as the config bounds N * packet_bits
-    received = np.where(sizes > 0, (sizes - 1) * rx_energy(radio, bits), 0.0)
-    fused = aggregation_energy(radio, bits, sizes)
-    sink = np.where(sizes[:, :, None] > 0, head_to_sink, 0.0)
-    for j in range(width):
-        total += received[:, j, None]
-        total += fused[:, j, None]
-        total += sink[:, j]
-    return total
+    members = np.sum(tx_energy(radio, bits, dist), axis=-1)
+    s = 1 + np.count_nonzero(np.diff(np.sort(sector, axis=1), axis=1), axis=1)
+    # (N - s) * rx is one rounding, and N * bits is exact as the config bounds it
+    heads = (n - s) * rx_energy(radio, bits) + aggregation_energy(radio, bits, n)
+    return members + heads[:, None] + s[:, None] * head_to_sink
 
 
 def simulated_energy_grid(area: AreaSpec, radio: RadioParams, k_values, d_values,

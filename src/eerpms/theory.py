@@ -156,20 +156,11 @@ def wedge_sq_distance_mc(radius_m: float, k: int, d_ch: float, samples: int,
     if k < 2:
         raise ValueError("k must be at least 2")
     tan_half = math.tan(math.pi / k)
-    x_block, y_block = np.empty((2, MC_BLOCK))
     total = 0.0
     for u, v in _uniform_pairs(samples, rng):
-        x = np.sqrt(u, out=x_block[:u.size])
-        x *= radius_m
-        y = np.multiply(v, 2.0, out=y_block[:v.size])
-        y -= 1.0
-        y *= x
-        y *= tan_half
-        x -= d_ch
-        np.square(x, out=x)
-        np.square(y, out=y)
-        x += y
-        total += float(np.add.reduce(x))
+        x = np.sqrt(u) * radius_m
+        y = (v * 2.0 - 1.0) * x * tan_half
+        total += float(np.add.reduce(np.square(x - d_ch) + np.square(y)))
     return total / samples
 
 
@@ -184,19 +175,12 @@ def sector_coverage_violations(radius_m: float, k: int, d_th: float, d_ch: float
     if k < 1:
         raise ValueError("k must be at least 1")
     half = math.pi / k
-    r_block, phi_block, x_block = np.empty((3, MC_BLOCK))
     violations = 0
     for u, v in _uniform_pairs(samples, rng):
-        r = np.sqrt(u, out=r_block[:u.size])
-        r *= radius_m
-        phi = np.multiply(v, 2.0 * half, out=phi_block[:v.size])
-        phi -= half
-        x = np.cos(phi, out=x_block[:r.size])
-        x *= r
-        x -= d_ch
-        y = np.sin(phi, out=phi)
-        y *= r
-        violations += int(np.count_nonzero(np.hypot(x, y, out=x) > d_th))
+        r = np.sqrt(u) * radius_m
+        phi = v * (2.0 * half) - half
+        x = np.cos(phi) * r - d_ch
+        violations += int(np.count_nonzero(np.hypot(x, np.sin(phi) * r) > d_th))
     return violations + int(d_ch > d_th)
 
 
@@ -205,9 +189,7 @@ def _uniform_pairs(samples: int, rng: np.random.Generator):
     blocks of at most `MC_BLOCK` pairs, as strided views of one buffer that
     every block reuses, so memory does not grow with `samples`. Consecutive
     draws join into one, so for any bit generator the blocks are those of
-    the single draw and `rng` ends where that draw leaves it. Each sampler
-    reads u and v once, into buffers of its own, which is cheaper than
-    copying them out here."""
+    the single draw and `rng` ends where that draw leaves it."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     w = np.empty(2 * min(samples, MC_BLOCK))

@@ -1,11 +1,12 @@
 import csv
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eerpms import (
@@ -20,7 +21,7 @@ from eerpms import (
 )
 from eerpms import experiments
 from eerpms.experiments import ROUND_CSV_HEADER, write_rounds_csv
-from eerpms.radio import aggregation_energy, rx_energy, tx_energy
+from eerpms.radio import aggregation_energy, distance_threshold, rx_energy, tx_energy
 from eerpms.simulation import LifetimeSummary, deploy, run_simulation
 from eerpms.theory import AreaSpec, predicted_round_energy
 
@@ -197,13 +198,26 @@ def reference_forced_energies(xs, ys, angles, radio, k, d_values):
     amp = np.where(dist <= d_th, radio.e_fs * dist ** 2,
                    radio.e_mp * ((dist * dist) * (dist * dist)))
     total = np.sum(bits * radio.e_elec + bits * amp, axis=1)
-    counts = np.bincount(sector, minlength=k)
-    head_to_sink = tx_energy(radio, bits, d)
-    for m in counts[counts > 0].tolist():
-        total += (m - 1) * rx_energy(radio, bits)
-        total += aggregation_energy(radio, bits, m)
-        total += head_to_sink
-    return total
+    # s occupied sectors: N - s receptions, N packets fused, s to the sink
+    n, s = xs.size, int(np.count_nonzero(np.bincount(sector, minlength=k)))
+    heads = (n - s) * rx_energy(radio, bits) + aggregation_energy(radio, bits, n)
+    return total + heads + s * tx_energy(radio, bits, d)
+
+
+def per_sector_energy(xs, ys, angles, radio, k, d):
+    """One cell by the per-sector accounting that the closed form replaced:
+    `np.hypot` distances, and per occupied sector of m members (m - 1)
+    receptions, m packets fused and one packet to the sink, every term added
+    exactly by `math.fsum`."""
+    bits = radio.packet_bits
+    sector = np.minimum((angles * k / (2.0 * math.pi)).astype(np.int64), k - 1)
+    bisector = (sector + 0.5) * (2.0 * math.pi / k)
+    dist = np.hypot(xs - d * np.cos(bisector), ys - d * np.sin(bisector))
+    terms = tx_energy(radio, bits, dist).tolist()
+    for m in np.unique(sector, return_counts=True)[1].tolist():
+        terms += [(m - 1) * rx_energy(radio, bits), m * bits * radio.e_da,
+                  tx_energy(radio, bits, d)]
+    return math.fsum(terms)
 
 
 def deployed_points(area, seed):
@@ -237,6 +251,64 @@ class TestSimulatedEnergyGrid:
             expected.extend((k, d, e / len(seeds)) for d, e in zip(d_values, total.tolist()))
         assert experiments.simulated_energy_grid(area, radio, k_values, d_values,
                                                  seeds) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(radius=st.floats(1.0, 1000.0), n=st.integers(1, 300),
+           k_values=st.lists(st.one_of(st.integers(1, 400), st.just(10**6)), min_size=1,
+                             max_size=4),
+           d_values=st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=4),
+           seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=2, unique=True))
+    @example(radius=150.0, n=1, k_values=[1, 2, 10**6], d_values=[0.0, 90.0], seeds=[1])
+    @example(radius=150.0, n=100, k_values=[1, 10, 101, 10**6], d_values=[0.0, 90.9, 200.0],
+             seeds=[1, 2])
+    def test_within_bound_of_per_sector_sum(self, radius, n, k_values, d_values, seeds):
+        # The bound was set before measuring. Both sides take the same hypot
+        # distances and member prices (u = 2**-53); numpy's pairwise sum of at
+        # most 300 positive members adds about 20u, and the head terms and the
+        # seed mean a few roundings more: under 40u, 4.4e-15. Allowed is 1e-14.
+        area = AreaSpec(radius, n)
+        radio = NetworkConfig().radio
+        deployments = [deployed_points(area, s) for s in seeds]
+        rows = experiments.simulated_energy_grid(area, radio, k_values, d_values, seeds)
+        expected = [math.fsum(per_sector_energy(*points, radio, k, d) for points in deployments)
+                    / len(seeds) for k in k_values for d in d_values]
+        assert [row[:2] for row in rows] == [(k, d) for k in k_values for d in d_values]
+        assert max(abs(row[2] - e) / e for row, e in zip(rows, expected)) <= 1e-14
+
+    def test_free_space_at_the_largest_accepted_d(self):
+        """A radio whose crossover, about 1e154 m, lies where the multipath
+        price's (d*d)**2 overflows. At the largest d that `ExperimentSpec`
+        accepts, every link is free-space, and the grid runs without a
+        warning. A member p and its head h satisfy |p - h| <= d + R, and the
+        spec's bound prices d + R, widened for the few ulps by which the
+        rounded distance can exceed it."""
+        radio = RadioParams(e_fs=1e-15, e_mp=1e-323)
+        base = NetworkConfig(radio=radio)
+
+        def accepts(bits):
+            d = float(np.int64(bits).view(np.float64))
+            try:
+                ExperimentSpec(base=base, protocols=[], sweep_axis="k_dch_grid",
+                               k_values=[1], d_values=[d])
+            except ConfigError:
+                return False
+            return True
+
+        # bisection over the bit patterns of the non-negative floats
+        lo, hi = 0, int(np.float64(1e308).view(np.int64))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+        d, d_th = float(np.int64(lo).view(np.float64)), distance_threshold(radio)
+        assert 1e154 < d + base.radius_m < d_th
+        with np.errstate(over="ignore"):  # one ulp past the crossover
+            assert tx_energy(radio, radio.packet_bits, np.nextafter(d_th, math.inf)) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = experiments.simulated_energy_grid(AreaSpec(base.radius_m, base.node_count),
+                                                     radio, [1, 2, 3, 10, 100, 10**6],
+                                                     [0.0, d], [1, 2, 3])
+        assert all(math.isfinite(energy) for _, _, energy in rows)
 
     def test_cases_cross_a_block_boundary(self):
         # the operating point and "block-boundary" price their K values in

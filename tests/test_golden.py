@@ -211,7 +211,7 @@ SWEEPS = [
     ("k_dch_grid", dict(protocols=[], seeds=[1, 2, 3], sweep_axis="k_dch_grid",
                         k_values=[1, 5, 10], d_values=[0.0, 45.0, 90.5]),
      {"landscape_simulated.csv":
-      "336949a58c2f4c372e64a8ff376235dba8b3910c98c4c5677a375c4851f54f3a"}),
+      "827311e4b60cf1266a13e50031fc013a585d35a2eeb17dbad482541e3e43b8df"}),
 ]
 
 
@@ -288,7 +288,7 @@ VERIFY_CSVS = {
     "landscape_analytic.csv":
     "c2690c49086ea7e7b1dd374f4ab04d2f828831565ee2d9487025d4f8a37fe78a",
     "landscape_simulated.csv":
-    "c2f35f6da54adcaf02d87a03d817cffc725f2fdce227eae22f00cf5b2ed6c3f3",
+    "da641c03a380db5e57170aa3515bf9ab3782686bd7684d3d81045481dc908356",
 }
 
 

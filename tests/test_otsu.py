@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eerpms import (
@@ -473,13 +473,21 @@ class TestExhaustiveSearch:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31), k=st.integers(2, 4))
+    @example(seed=971, k=4)  # (4, 8, 11) and (5, 8, 11) tie exactly
     def test_is_global_optimum(self, seed, k):
+        # exact optimality; which of exactly tied sets wins is pinned by
+        # TestExhaustiveBlocks against the row-by-row reference
         rng = np.random.default_rng(seed)
-        h = AngleHistogram(rng.integers(0, 9, size=12) + (rng.random(12) < 0.5))
-        t, v = exhaustive_best_threshold(h, k, HALF)
-        ref_t, ref_v = brute_force_best(h, k, HALF)
-        assert v == pytest.approx(ref_v, rel=1e-12)
-        assert t.thresholds == ref_t
+        counts = (rng.integers(0, 9, size=12) + (rng.random(12) < 0.5)).tolist()
+        t, v = exhaustive_best_threshold(AngleHistogram(counts), k, HALF)
+
+        def exact(thresholds):
+            f1_norm, balance, _, _ = exact_terms(counts, thresholds)
+            return Fraction(HALF.alpha1) * f1_norm + Fraction(HALF.alpha2) * balance
+
+        best = max(map(exact, itertools.combinations(range(1, 12), k - 1)))
+        assert exact(t.thresholds) == best
+        assert v == pytest.approx(float(best), rel=1e-12)
 
 
 def row_by_row_best(h, k, w):

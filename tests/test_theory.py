@@ -403,7 +403,11 @@ def test_coverage_blocks_equal_allocating_form(samples, seed, k, d_ch):
 ], ids=["wedge", "coverage"])
 def test_sampler_memory_does_not_grow_with_samples(sample):
     # 10**6 samples in the allocating forms peaked at 45.8 MiB (wedge) and
-    # 53.4 MiB (coverage); in blocks of at most 2**14 pairs at 0.50 and 0.64 MiB
+    # 53.4 MiB (coverage); in blocks of at most 2**14 pairs at 0.88 MiB each.
+    # That is 0.12 MiB under the bound, down from 0.50 and 0.64 MiB with
+    # reused block buffers: each block's expressions now allocate their own
+    # temporaries, so a failure here more likely means one more temporary
+    # kept alive than memory that grows with the samples.
     rng = np.random.default_rng(7)
     sample(rng)
     tracemalloc.start()
