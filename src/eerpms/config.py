@@ -34,10 +34,10 @@ class ConfigError(Exception):
     """Invalid configuration file or option values."""
 
 
-def _finite_energy(radio: RadioParams, d: float, packets: int = 1) -> bool:
-    """Whether sending `packets` packets over `d` metres costs a finite energy."""
+def _finite_energy(radio: RadioParams, d: float) -> bool:
+    """Whether sending a packet over `d` metres costs a finite energy."""
     with np.errstate(over="ignore"):
-        return math.isfinite(packets * tx_energy(radio, radio.packet_bits, d))
+        return math.isfinite(tx_energy(radio, radio.packet_bits, d))
 
 
 @dataclass(frozen=True)

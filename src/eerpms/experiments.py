@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import _INT64_MAX, _MAX_ARRAY_ELEMENTS, INI_KEYS, ConfigError, NetworkConfig, \
-    _finite_energy, network_config, parse_protocol, read_ini, read_sections
+    network_config, parse_protocol, read_ini, read_sections
 from .network import Protocol
 from .radio import RadioParams, aggregation_energy, rx_energy, tx_energy
 from .simulation import LifetimeSummary, RoundMetrics, deploy, run_simulation
@@ -69,15 +69,25 @@ class ExperimentSpec:
             raise ConfigError("k_values must not exceed 2**31, the most elements of one array")
         if not all(d >= 0 and math.isfinite(d) for d in self.d_values):
             raise ConfigError("d_values must be non-negative and finite")
-        # a member transmits over at most d + radius_m to its forced head. The
-        # 1 + 2**-40 covers only its rounded distance, a few ulps past that,
-        # crossing into tx_energy's overflowing multipath branch. A cell's and
-        # its seeds' sums are not priced, so they can still overflow.
-        base = self.base
-        if not all(_finite_energy(base.radio, (d + base.radius_m) * (1.0 + 2.0 ** -40),
-                                  base.node_count) for d in self.d_values):
-            raise ConfigError("node_count * the energy of a link over d + radius_m "
-                              "must be finite for every d of d_values")
+        # A landscape cell (K, d) adds N member links over at most d + radius_m
+        # (widened by 1 + 2**-40 for the few ulps by which a rounded distance
+        # exceeds it), N - s <= N receptions, N packets fused and s <= min(K, N)
+        # head links over d; the grid adds the cell over the seeds before it
+        # divides. Each other operation, in the grid and in this bound, rounds a
+        # non-negative value by a factor of at most 1 + 2**-53, and none passes
+        # through more than m = N + seeds + 10 of them, so the grid's sums stay
+        # below the exact bound times (1 + 2**-53)**m <= 1 + m * 2**-52.
+        radio, n, seeds = self.base.radio, self.base.node_count, len(self.seeds)
+        bits, heads = radio.packet_bits, min(max(self.k_values, default=1), n)
+        slack = 1.0 + (n + seeds + 10) * 2.0 ** -52
+        with np.errstate(over="ignore"):
+            sums = [seeds * slack * (
+                n * tx_energy(radio, bits, (d + self.base.radius_m) * (1.0 + 2.0 ** -40))
+                + n * rx_energy(radio, bits) + aggregation_energy(radio, bits, n)
+                + heads * tx_energy(radio, bits, d)) for d in self.d_values]
+        if not all(map(math.isfinite, sums)):
+            raise ConfigError("a landscape cell's energy summed over the seeds must be "
+                              "finite for every d of d_values")
         if self.sweep_axis != "k_dch_grid" and not self.protocols:
             raise ConfigError("at least one protocol is required")
 

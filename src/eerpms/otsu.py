@@ -10,6 +10,7 @@ metaheuristic optimizer.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 #: Maximum number of threshold combinations the exhaustive search will visit.
 EXHAUSTIVE_CAP = 10_000_000
-#: Most threshold sets the exhaustive search scores in one call.
+#: Most threshold sets the exhaustive search scores in one batch.
 EXHAUSTIVE_BLOCK = 8_192
 
 _TWO_PI = 2.0 * math.pi
@@ -169,7 +170,7 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
                           or not (thresholds[1:] > thresholds[:-1]).all()):
         raise ValueError("threshold rows must be strictly increasing "
                          "within [1, bin_count - 1]")
-    k, n = dim + 1, h.total
+    k = dim + 1
     rank, f1_terms, sq_counts = h.segment_table
     width = rank[-1] + 1
     ranks = np.empty((k + 1, batch), dtype=np.int64)
@@ -178,9 +179,16 @@ def evaluate_threshold_sets(h: AngleHistogram, tmat: np.ndarray,
     ranks[1:-1] = rank[thresholds]
     seg = ranks[:-1] * width
     seg += ranks[1:]
-    f1 = _sum_segments(f1_terms[seg])
-    f1_norm = (f1 - h._f1_offset) / h._f1_scale if h._f1_scale > 0 else np.zeros(batch)
-    balance = float(k * n) / (sq_counts[seg].sum(axis=0) * float(k) + float(k * n - n * n))
+    return _objective(h, k, _sum_segments(f1_terms[seg]), sq_counts[seg].sum(axis=0), w)
+
+
+def _objective(h: AngleHistogram, k: int, f1: np.ndarray, sq_sum: np.ndarray,
+               w: ObjectiveWeights) -> np.ndarray:
+    """The objective of k-segment threshold sets from their sums of f1 terms
+    (float64) and of squared node counts S (int64)."""
+    n = h.total
+    f1_norm = (f1 - h._f1_offset) / h._f1_scale if h._f1_scale > 0 else np.zeros(f1.size)
+    balance = float(k * n) / (sq_sum * float(k) + float(k * n - n * n))
     return w.alpha1 * f1_norm + w.alpha2 * balance
 
 
@@ -192,30 +200,79 @@ def _sum_segments(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _combination_blocks(hi: int, size: int, max_rows: int):
-    """The `size`-combinations of 1..hi-1 in lexicographic order, as int64
-    blocks of at most `max_rows` rows (size >= 1); each block is the
-    transpose of a C-contiguous (size, rows) array.
+def _scored_leaves(h: AngleHistogram, k: int, w: ObjectiveWeights):
+    """Every threshold set of a k-way split (k >= 2), in lexicographic
+    order, with its objective, from a walk of the tree of threshold prefixes.
 
-    Each row is decoded from its rank in the combinatorial number system
-    (Knuth, TAOCP 4A, 7.2.1.3). With a = hi - 1 - v for each value v, row r
-    of the `total` rows has reverse rank q = total - 1 - r = sum of
-    C(a_j, m) over its columns, m = size, ..., 1, and each a_j is the
-    largest a with C(a, m) at most the rank left. Every rank is below
-    `total` (at most `EXHAUSTIVE_CAP` in the search), so binomials capped at
-    `total` decode the same and fit int64."""
-    total = math.comb(hi - 1, size)
-    tables = [np.array([min(math.comb(a, m), total) for a in range(hi - 1)], dtype=np.int64)
-              for m in range(size, 1, -1)]
-    for start in range(0, total, max_rows):
-        q = total - 1 - np.arange(start, min(start + max_rows, total), dtype=np.int64)
-        block = np.empty((size, q.size), dtype=np.int64)
-        for column, table in zip(block, tables):
-            a = np.searchsorted(table, q, side="right") - 1
-            q -= table[a]
-            np.subtract(hi - 1, a, out=column)
-        np.subtract(hi - 1, q, out=block[-1])
-        yield block.T
+    A node at depth j is a prefix t_1 < ... < t_j, t_j <= bin_count - k + j,
+    with the f1 sum of its j segments, added left to right from +0.0, and
+    their int64 S. A child adds one segment to its parent's sums and a leaf
+    (depth k - 1) the closing one, so each prefix's sums are added once and
+    each leaf's are `evaluate_threshold_sets`'s, bit for bit. A node ending
+    at t has C(bin_count - 1 - t, k - 1 - j) leaves; one with more than
+    `EXHAUSTIVE_BLOCK` is split, its children walked one by one. Runs of
+    children holding at most `EXHAUSTIVE_BLOCK` leaves are expanded level by
+    level, one batch each.
+
+    Yields (prefix, levels, values) per batch: the prefix its leaves share;
+    one (thresholds, ends) pair per depth below it, ends[i] one past the
+    last child of node i (None at the leaves); and the leaves' objective.
+    """
+    rank, f1_terms, sq_counts = h.segment_table
+    width, bins, block = rank[-1] + 1, h.bin_count, EXHAUSTIVE_BLOCK
+
+    def children(t, f1, s, top):
+        """The children of nodes (t, f1, s) whose next threshold runs to
+        `top`, and one past each node's last child."""
+        fan = top - t
+        ends = np.cumsum(fan)
+        child = np.arange(ends[-1]) + np.repeat(t + 1 + fan - ends, fan)
+        seg = np.repeat(rank[t] * width, fan) + rank[child]
+        return child, ends, np.repeat(f1, fan) + f1_terms[seg], np.repeat(s, fan) + sq_counts[seg]
+
+    # nodes whose children from `first` on are still to walk: (prefix, f1, S, first)
+    stack = [((), 0.0, 0, 1)]
+    while stack:
+        prefix, f1, s, first = stack.pop()
+        depth, row = len(prefix) + 1, rank[prefix[-1] if prefix else 0] * width
+        left, top = k - 1 - depth, bins - k + depth   # thresholds below a child; last child
+        if math.comb(bins - 1 - first, left) > block:
+            if first < top:
+                stack.append((prefix, f1, s, first + 1))
+            seg = row + rank[first]
+            stack.append((prefix + (first,), f1 + f1_terms[seg], s + sq_counts[seg], first + 1))
+            continue
+        while first <= top:
+            # the children first..last hold C(bins - first, left + 1) -
+            # C(bins - 1 - last, left + 1) leaves (Pascal's rule, summed)
+            room = math.comb(bins - first, left + 1) - block
+            last = bins - 1 - bisect.bisect_left(range(left, bins - first), room,
+                                                 key=lambda x: math.comb(x, left + 1)) - left
+            t = np.arange(first, last + 1)
+            seg = row + rank[t]
+            f1s, ss = f1 + f1_terms[seg], s + sq_counts[seg]
+            levels = []
+            for j in range(depth + 1, k):
+                child, ends, f1s, ss = children(t, f1s, ss, bins - k + j)
+                levels.append((t, ends))
+                t = child
+            levels.append((t, None))
+            seg = rank[t] * width + rank[-1]
+            yield prefix, levels, _objective(h, k, f1s + f1_terms[seg], ss + sq_counts[seg], w)
+            first = last + 1
+
+
+def _leaf_thresholds(prefix: tuple[int, ...], levels, rows) -> np.ndarray:
+    """The threshold sets of the given leaves of a `_scored_leaves` batch,
+    as a (rows, k - 1) int64 matrix."""
+    rows = np.asarray(rows, dtype=np.int64)
+    columns = []
+    for t, ends in reversed(levels):
+        if ends is not None:
+            rows = np.searchsorted(ends, rows, side="right")   # each row's parent
+        columns.append(t[rows])
+    return np.column_stack([np.full(rows.size, v, dtype=np.int64) for v in prefix]
+                           + columns[::-1])
 
 
 def exhaustive_best_threshold(h: AngleHistogram, k: int,
@@ -224,10 +281,12 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
 
     Ties resolve to the lexicographically smallest threshold set. Guarded
     against combinatorial blowup; intended for oracle use at small bin
-    counts. The candidates are scored in lexicographic blocks of at most
-    `EXHAUSTIVE_BLOCK` rows, each decoded from its rows' ranks against
-    binomial tables of (k - 2) x (bin count - 1) entries, so nothing else
-    grows with the number of sets.
+    counts. The sets are scored along the tree of their prefixes
+    (`_scored_leaves`), in batches of at most `EXHAUSTIVE_BLOCK` leaves:
+    the walk of the multilevel-Otsu dynamic programme of Luessi et al.
+    (J. Electron. Imaging 18(1), 2009) without its merge of states. Only
+    the winning set is rebuilt, so nothing else grows with the number of
+    sets.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -243,13 +302,12 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
         )
     best_val = -math.inf
     best_t: tuple[int, ...] | None = None
-    for block in _combination_blocks(h.bin_count, k - 1, EXHAUSTIVE_BLOCK):
-        vals = evaluate_threshold_sets(h, block, w)
+    for prefix, levels, vals in _scored_leaves(h, k, w):
         i = int(np.argmax(vals))
         # strict improvement keeps the first (lexicographically smallest) maximizer
         if vals[i] > best_val:
             best_val = float(vals[i])
-            best_t = tuple(block[i].tolist())
+            best_t = tuple(_leaf_thresholds(prefix, levels, [i])[0].tolist())
     assert best_t is not None
     return ThresholdSet(best_t, k), best_val
 

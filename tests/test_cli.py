@@ -21,6 +21,12 @@ BAD_CELLS = [
 BAD_CELL_IDS = ["omega1-above-one", "node-count-zero"]
 
 
+def free_space_field(n):
+    """INI sections for n nodes with e_fs = 1e-5 and e_mp = 5e-324 (J/bit/m**2
+    and /m**4): the crossover overflows to inf, so every link is free-space."""
+    return f"[network]\nnode_count = {n}\n[radio]\ne_fs_pj = 1e7\ne_mp_pj = 5e-312\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -296,9 +302,17 @@ class TestSweep:
         (f"sweep = k_dch_grid\nk_values = {10 ** 20}\nd_values = 90\n",
          "k_values must not exceed 2**31"),
         ("sweep = k_dch_grid\nk_values = 10\nd_values = 90, 1e100\n",
-         "node_count * the energy of a link over d + radius_m must be finite"),
+         "a landscape cell's energy summed over the seeds must be finite"),
+        # every link free-space and near 1e307 J: 20 member links fit, but
+        # not with 20 head links, nor 10 member links over three seeds
+        ("sweep = k_dch_grid\nk_values = 1, 20\nd_values = 1.3e154\n" + free_space_field(20),
+         "a landscape cell's energy summed over the seeds must be finite"),
+        ("sweep = k_dch_grid\nseeds = 1, 2, 3\nk_values = 1, 2\nd_values = 1.34e154\n"
+         + free_space_field(10),
+         "a landscape cell's energy summed over the seeds must be finite"),
     ] + BAD_CELLS, ids=["no-seeds", "k-zero", "d-negative", "d-nan", "seed-1e400",
-                        "k-2e45", "k-1e20", "d-1e100", *BAD_CELL_IDS])
+                        "k-2e45", "k-1e20", "d-1e100", "cell-head-links", "cell-seed-sum",
+                        *BAD_CELL_IDS])
     def test_invalid_spec_exit_code(self, capsys, tmp_path, body, message):
         spec = tmp_path / "exp.ini"
         spec.write_text("[experiment]\n" + body)

@@ -38,6 +38,24 @@ def small_spec(tmp_path, **kwargs):
     return ExperimentSpec(**defaults)
 
 
+def largest_accepted_d(base, k_values, seeds):
+    """The largest head distance d that a `k_dch_grid` spec over `base`
+    accepts, by bisection over the bit patterns of the non-negative floats."""
+    def accepts(bits):
+        try:
+            ExperimentSpec(base=base, protocols=[], sweep_axis="k_dch_grid", seeds=seeds,
+                           k_values=k_values, d_values=[float(np.int64(bits).view(np.float64))])
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = 0, int(np.float64(1e308).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
 class TestRunExperiment:
     def test_file_counts(self, tmp_path):
         paths = run_experiment(small_spec(tmp_path))
@@ -284,22 +302,7 @@ class TestSimulatedEnergyGrid:
         rounded distance can exceed it."""
         radio = RadioParams(e_fs=1e-15, e_mp=1e-323)
         base = NetworkConfig(radio=radio)
-
-        def accepts(bits):
-            d = float(np.int64(bits).view(np.float64))
-            try:
-                ExperimentSpec(base=base, protocols=[], sweep_axis="k_dch_grid",
-                               k_values=[1], d_values=[d])
-            except ConfigError:
-                return False
-            return True
-
-        # bisection over the bit patterns of the non-negative floats
-        lo, hi = 0, int(np.float64(1e308).view(np.int64))
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
-        d, d_th = float(np.int64(lo).view(np.float64)), distance_threshold(radio)
+        d, d_th = largest_accepted_d(base, [1], [1]), distance_threshold(radio)
         assert 1e154 < d + base.radius_m < d_th
         with np.errstate(over="ignore"):  # one ulp past the crossover
             assert tx_energy(radio, radio.packet_bits, np.nextafter(d_th, math.inf)) == math.inf
@@ -308,6 +311,29 @@ class TestSimulatedEnergyGrid:
             rows = experiments.simulated_energy_grid(AreaSpec(base.radius_m, base.node_count),
                                                      radio, [1, 2, 3, 10, 100, 10**6],
                                                      [0.0, d], [1, 2, 3])
+        assert all(math.isfinite(energy) for _, _, energy in rows)
+
+    @pytest.mark.parametrize("n, d, k_values, seeds", [
+        (20, 1.3e154, [1, 20], [1]),          # 20 member links plus 20 head links
+        (10, 1.34e154, [1, 2], [1, 2, 3])])   # the sum over three seeds
+    def test_cell_and_seed_sums_at_the_largest_accepted_d(self, n, d, k_values, seeds):
+        """Every link free-space (the crossover overflows to inf), each link
+        near 1e307 J: a cell's head links and the sum over the seeds overflow
+        before N member links alone do. The spec rejects d, and at the largest
+        d it accepts the grid runs without a warning."""
+        radio = RadioParams(e_fs=1e-5, e_mp=5e-324)
+        base = NetworkConfig(radio=radio, node_count=n)
+        area = AreaSpec(base.radius_m, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                experiments.simulated_energy_grid(area, radio, k_values, [d], seeds)
+            with pytest.raises(ConfigError, match="landscape cell's energy"):
+                ExperimentSpec(base=base, protocols=[], sweep_axis="k_dch_grid",
+                               k_values=k_values, d_values=[d], seeds=seeds)
+            largest = largest_accepted_d(base, k_values, seeds)
+            rows = experiments.simulated_energy_grid(area, radio, k_values, [largest], seeds)
+        assert largest < d
         assert all(math.isfinite(energy) for _, _, energy in rows)
 
     def test_cases_cross_a_block_boundary(self):

@@ -506,21 +506,44 @@ def row_by_row_best(h, k, w):
 ROW_BY_ROW_BUDGET = 3000  # combinations the plain reference scores per example
 
 
+def draw_counts(data, bins, shape):
+    if shape == "random":
+        counts = data.draw(st.lists(st.integers(0, 9), min_size=bins, max_size=bins))
+    elif shape == "sparse":   # mostly empty bins: equal ranks tie many sets
+        counts = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 4]),
+                                    min_size=bins, max_size=bins))
+    else:                     # one occupied bin, or every bin alike: all ties
+        counts = [0] * bins if shape == "single" else [3] * bins
+    if sum(counts) == 0:
+        counts[data.draw(st.integers(0, bins - 1))] += 2
+    return counts
+
+
+def spy_on_batches(monkeypatch, keep):
+    """Record keep(prefix, levels, values) of each batch of leaves that the
+    exhaustive search scores, through its seam `otsu._scored_leaves`."""
+    kept = []
+    walk = otsu._scored_leaves
+
+    def spy(h, k, w):
+        for batch in walk(h, k, w):
+            kept.append(keep(*batch))
+            yield batch
+
+    monkeypatch.setattr(otsu, "_scored_leaves", spy)
+    return kept
+
+
+def every_leaf(prefix, levels, values):
+    return otsu._leaf_thresholds(prefix, levels, np.arange(values.size))
+
+
 class TestExhaustiveBlocks:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), bins=st.integers(2, 40),
            shape=st.sampled_from(["random", "sparse", "single", "flat"]))
     def test_matches_row_by_row_reference(self, data, bins, shape):
-        if shape == "random":
-            counts = data.draw(st.lists(st.integers(0, 9), min_size=bins, max_size=bins))
-        elif shape == "sparse":   # mostly empty bins: equal ranks tie many sets
-            counts = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 4]),
-                                        min_size=bins, max_size=bins))
-        else:                     # one occupied bin, or every bin alike: all ties
-            counts = [0] * bins if shape == "single" else [3] * bins
-        if sum(counts) == 0:
-            counts[data.draw(st.integers(0, bins - 1))] += 2
-        h = AngleHistogram(counts)
+        h = AngleHistogram(draw_counts(data, bins, shape))
         ks = [k for k in range(1, bins + 1)
               if math.comb(bins - 1, k - 1) <= ROW_BY_ROW_BUDGET]
         k = data.draw(st.sampled_from(ks))
@@ -535,15 +558,34 @@ class TestExhaustiveBlocks:
         assert t.thresholds == ref_t
         assert v == ref_v
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), bins=st.integers(2, 40),
+           shape=st.sampled_from(["random", "sparse", "single", "flat"]))
+    def test_every_leaf_scores_as_evaluate_threshold_sets(self, data, bins, shape):
+        # the tree adds each leaf's f1 terms left to right from +0.0 through
+        # its prefixes' partial sums, so every value is the batch scorer's,
+        # bit for bit, whatever the batches
+        h = AngleHistogram(draw_counts(data, bins, shape))
+        ks = [k for k in range(2, bins + 1)
+              if math.comb(bins - 1, k - 1) <= ROW_BY_ROW_BUDGET]
+        k = data.draw(st.sampled_from(ks))
+        w = data.draw(st.sampled_from([HALF, ObjectiveWeights(1.0, 0.0),
+                                       ObjectiveWeights(0.2, 0.8)]))
+        block = data.draw(st.integers(1, otsu.EXHAUSTIVE_BLOCK))
+        with mock.patch.object(otsu, "EXHAUSTIVE_BLOCK", block):
+            batches = list(otsu._scored_leaves(h, k, w))
+        sets = []
+        for prefix, levels, values in batches:
+            tmat = every_leaf(prefix, levels, values)
+            assert values.size <= block
+            assert values.view(np.int64).tolist() == \
+                evaluate_threshold_sets(h, tmat, w).view(np.int64).tolist()
+            sets.extend(map(tuple, tmat.tolist()))
+        assert sets == list(itertools.combinations(range(1, bins), k - 1))
+
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     def test_scores_every_set_once_in_lexicographic_order(self, monkeypatch, block):
-        scored = []
-
-        def record(h, tmat, w):
-            scored.append(tmat.tolist())
-            return np.zeros(len(tmat))
-
-        monkeypatch.setattr(otsu, "evaluate_threshold_sets", record)
+        scored = spy_on_batches(monkeypatch, every_leaf)
         monkeypatch.setattr(otsu, "EXHAUSTIVE_BLOCK", block)
         for bins in range(2, 13):
             h = AngleHistogram(np.ones(bins, dtype=int))
@@ -551,26 +593,28 @@ class TestExhaustiveBlocks:
                 scored.clear()
                 exhaustive_best_threshold(h, k, HALF)
                 assert max(len(rows) for rows in scored) <= block
-                assert [tuple(row) for rows in scored for row in rows] == \
+                assert [tuple(row) for rows in scored for row in rows.tolist()] == \
                     list(itertools.combinations(range(1, bins), k - 1))
 
     def test_blocks_stay_small_where_k_is_near_the_bin_count(self, monkeypatch):
         # at 36 bins and k = 30 a table of every (k-2)-combination would hold
-        # 6.7 M rows; each scoring call must stay within EXHAUSTIVE_BLOCK rows
-        calls = []
+        # 6.7 M rows; each batch must stay within EXHAUSTIVE_BLOCK leaves
+        def first_and_last(prefix, levels, values):
+            ends = otsu._leaf_thresholds(prefix, levels, [0, values.size - 1]).tolist()
+            return values.size, tuple(ends[0]), tuple(ends[1])
 
-        def record(h, tmat, w):
-            calls.append((len(tmat), tuple(tmat[0].tolist()), tuple(tmat[-1].tolist())))
-            return np.zeros(len(tmat))
-
-        monkeypatch.setattr(otsu, "evaluate_threshold_sets", record)
-        t, v = exhaustive_best_threshold(AngleHistogram(np.ones(36, dtype=int)), 30, HALF)
-        assert max(rows for rows, _, _ in calls) <= otsu.EXHAUSTIVE_BLOCK == 8192
-        assert sum(rows for rows, _, _ in calls) == math.comb(35, 29)
-        assert calls[0][1] == tuple(range(1, 30)) and calls[-1][2] == tuple(range(7, 36))
-        for (_, _, last), (_, first, _) in itertools.pairwise(calls):
-            assert last < first  # blocks follow one another in lexicographic order
-        assert t.thresholds == tuple(range(1, 30)) and v == 0.0  # all tie: the first wins
+        batches = spy_on_batches(monkeypatch, first_and_last)
+        one_bin = np.zeros(36, dtype=int)
+        one_bin[20] = 5   # every set scores alike: one segment holds all nodes
+        h = AngleHistogram(one_bin)
+        t, v = exhaustive_best_threshold(h, 30, HALF)
+        assert max(rows for rows, _, _ in batches) <= otsu.EXHAUSTIVE_BLOCK == 8192
+        assert sum(rows for rows, _, _ in batches) == math.comb(35, 29)
+        assert batches[0][1] == tuple(range(1, 30)) and batches[-1][2] == tuple(range(7, 36))
+        for (_, _, last), (_, first, _) in itertools.pairwise(batches):
+            assert last < first  # batches follow one another in lexicographic order
+        # all tie: the first wins
+        assert t.thresholds == tuple(range(1, 30)) and v == score(h, t, HALF)
 
     @pytest.mark.parametrize("bins, k", [(24, 5), (36, 3), (12, 12), (20, 1)])
     def test_same_optimum_at_every_block_size(self, bins, k):
@@ -589,8 +633,9 @@ class TestExhaustiveBlocks:
 
     @pytest.mark.parametrize("bins, k", [(80, 78), (80, 79), (80, 80), (300, 299)])
     def test_matches_row_by_row_where_binomials_overflow_int64(self, bins, k):
-        # the ranks are decoded against C(a, m) for a < bins - 1, which pass
-        # 2**63 here (C(79, 39) ~ 5.4e22); at most C(79, 77) = 3 081 sets
+        # k near the bin count: each prefix has one or a few children, and
+        # binomials of the bin count pass 2**63 here (C(79, 39) ~ 5.4e22);
+        # at most C(79, 77) = 3 081 sets
         rng = np.random.default_rng(bins * k)
         counts = rng.integers(0, 6, size=bins) + (np.arange(bins) % 7 == 0) * 9
         h = AngleHistogram(counts)
