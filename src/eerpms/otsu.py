@@ -200,9 +200,50 @@ def _sum_segments(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _subtree_bound(h: AngleHistogram, k: int, w: ObjectiveWeights):
+    """A function bound(depth, t, f1, s) that no leaf below the given nodes
+    can exceed: nodes of `depth` thresholds, the last at t, whose segments
+    have the f1 and S sums that `_scored_leaves` keeps.
+
+    Suffix tables over boundary ranks, one DP pass per segment count r as in
+    the multilevel-Otsu DP of Luessi et al. (J. Electron. Imaging 18(1),
+    2009), hold the largest f1 sum and the smallest S that r segments, empty
+    ones allowed, reach from each rank. S is exact. A leaf adds its r terms
+    x_i >= 0 to its node's float f1 p in r roundings, so its f1 is at most
+    (p + sum x_i)(1 + u)**r, u = 2**-53. The table's float sum is at least
+    (1 - u)**(r - 1) times the largest exact sum x_i, and adding p and
+    scaling by `grow` each round down by at most a factor 1 - u. So grow = 1
+    + 4(k + 1)u, above (1 + u)**r / (1 - u)**(r + 1) for every r <= k, makes
+    the f1 part an upper bound on every leaf's f1, and `_objective`,
+    monotone in each argument rounding included, the result one on its value.
+    """
+    rank, f1_terms, sq_counts = h.segment_table
+    width = rank[-1] + 1
+    upper = np.triu(np.ones((width, width), dtype=bool))
+    terms, squares = f1_terms.reshape(width, width), sq_counts.reshape(width, width)
+    f1_max, s_min = np.zeros((k, width)), np.zeros((k, width), dtype=np.int64)
+    f1_max[1], s_min[1] = terms[:, -1], squares[:, -1]
+    for r in range(2, k):
+        # r segments start at a boundary in k - r .. bins - r and the next
+        # one further on: only those ranks are filled and read
+        rows = slice(rank[k - r], rank[h.bin_count - r] + 1)
+        cols = slice(rank[k - r + 1], rank[h.bin_count - r + 1] + 1)
+        after = upper[rows, cols]
+        f1_max[r, rows] = np.where(after, terms[rows, cols] + f1_max[r - 1, cols], -np.inf).max(1)
+        s_min[r, rows] = np.where(after, squares[rows, cols] + s_min[r - 1, cols],
+                                  h.total ** 2).min(1)
+    grow = 1.0 + (k + 1) * 2.0 ** -51
+
+    def bound(depth, t, f1, s):
+        r = rank[t]
+        return _objective(h, k, (f1 + f1_max[k - depth][r]) * grow, s + s_min[k - depth][r], w)
+    return bound
+
+
 def _scored_leaves(h: AngleHistogram, k: int, w: ObjectiveWeights):
-    """Every threshold set of a k-way split (k >= 2), in lexicographic
-    order, with its objective, from a walk of the tree of threshold prefixes.
+    """The threshold sets of a k-way split (k >= 2) that can still beat the
+    best found, in lexicographic order, with their objective, from a walk of
+    the tree of threshold prefixes.
 
     A node at depth j is a prefix t_1 < ... < t_j, t_j <= bin_count - k + j,
     with the f1 sum of its j segments, added left to right from +0.0, and
@@ -214,52 +255,90 @@ def _scored_leaves(h: AngleHistogram, k: int, w: ObjectiveWeights):
     children holding at most `EXHAUSTIVE_BLOCK` leaves are expanded level by
     level, one batch each.
 
+    Pruning drops an inner node whose `_subtree_bound` is below a floor, the
+    value of the leaf that a greedy dive down the bound reaches, or not
+    above the best leaf yielded so far: no leaf below it can be the
+    optimum, or beat an earlier leaf. The first maximizer is never dropped.
+
     Yields (prefix, levels, values) per batch: the prefix its leaves share;
     one (thresholds, ends) pair per depth below it, ends[i] one past the
     last child of node i (None at the leaves); and the leaves' objective.
     """
     rank, f1_terms, sq_counts = h.segment_table
     width, bins, block = rank[-1] + 1, h.bin_count, EXHAUSTIVE_BLOCK
+    bound, best = _subtree_bound(h, k, w), -math.inf
+    t, f1, s = 0, 0.0, 0
+    for depth in range(1, k):   # the greedy dive
+        child = np.arange(t + 1, bins - k + depth + 1)
+        seg = rank[t] * width + rank[child]
+        f1s, ss = f1 + f1_terms[seg], s + sq_counts[seg]
+        i = int(np.argmax(bound(depth, child, f1s, ss)))
+        t, f1, s = child[i], f1s[i], ss[i]
+    seg = rank[t] * width + rank[-1]
+    floor = _objective(h, k, f1 + f1_terms[seg], s + sq_counts[seg], w)
 
-    def children(t, f1, s, top):
-        """The children of nodes (t, f1, s) whose next threshold runs to
-        `top`, and one past each node's last child."""
-        fan = top - t
+    def kept(depth, t, f1, s):
+        """The bounds of the nodes (t, f1, s) at `depth`, inf at the leaves,
+        and which of them to walk."""
+        b = bound(depth, t, f1, s) if depth < k - 1 else np.full(t.size, math.inf)
+        return b, (b >= floor) & (b > best)
+
+    def children(t, f1, s, top, keep):
+        """The children of the kept nodes (t, f1, s) whose next threshold
+        runs to `top`, and one past each node's last child."""
+        fan = np.where(keep, top - t, 0)
         ends = np.cumsum(fan)
         child = np.arange(ends[-1]) + np.repeat(t + 1 + fan - ends, fan)
         seg = np.repeat(rank[t] * width, fan) + rank[child]
         return child, ends, np.repeat(f1, fan) + f1_terms[seg], np.repeat(s, fan) + sq_counts[seg]
 
-    # nodes whose children from `first` on are still to walk: (prefix, f1, S, first)
-    stack = [((), 0.0, 0, 1)]
+    # nodes whose children from `first` on are still to walk, with their
+    # bound: (prefix, f1, S, first, bound)
+    stack = [((), 0.0, 0, 1, math.inf)]
     while stack:
-        prefix, f1, s, first = stack.pop()
+        prefix, f1, s, first, b = stack.pop()
+        if b <= best:
+            continue
         depth, row = len(prefix) + 1, rank[prefix[-1] if prefix else 0] * width
         left, top = k - 1 - depth, bins - k + depth   # thresholds below a child; last child
-        if math.comb(bins - 1 - first, left) > block:
-            if first < top:
-                stack.append((prefix, f1, s, first + 1))
-            seg = row + rank[first]
-            stack.append((prefix + (first,), f1 + f1_terms[seg], s + sq_counts[seg], first + 1))
+        t = np.arange(first, top + 1)
+        seg = row + rank[t]
+        f1s, ss = f1 + f1_terms[seg], s + sq_counts[seg]
+        bounds, keep = kept(depth, t, f1s, ss)
+        # the children with more than `block` leaves come first; each is walked alone
+        big = bisect.bisect_left(range(first, top + 1), True,
+                                 key=lambda c: math.comb(bins - 1 - c, left) <= block)
+        if big:
+            if big < t.size:
+                stack.append((prefix, f1, s, first + big, b))
+            for i in np.flatnonzero(keep[:big])[::-1]:
+                stack.append((prefix + (int(t[i]),), f1s[i], ss[i], int(t[i]) + 1, bounds[i]))
             continue
-        while first <= top:
-            # the children first..last hold C(bins - first, left + 1) -
+        starts = np.flatnonzero(keep)
+        while starts.size:
+            lo = starts[0]
+            # the children t[lo]..last hold C(bins - t[lo], left + 1) -
             # C(bins - 1 - last, left + 1) leaves (Pascal's rule, summed)
-            room = math.comb(bins - first, left + 1) - block
-            last = bins - 1 - bisect.bisect_left(range(left, bins - first), room,
+            room = math.comb(bins - first - lo, left + 1) - block
+            last = bins - 1 - bisect.bisect_left(range(left, bins - first - lo), room,
                                                  key=lambda x: math.comb(x, left + 1)) - left
-            t = np.arange(first, last + 1)
-            seg = row + rank[t]
-            f1s, ss = f1 + f1_terms[seg], s + sq_counts[seg]
+            run = slice(lo, last - first + 1)
+            starts = starts[starts >= run.stop]
+            level, f1r, sr, keep_run = t[run], f1s[run], ss[run], keep[run]
             levels = []
             for j in range(depth + 1, k):
-                child, ends, f1s, ss = children(t, f1s, ss, bins - k + j)
-                levels.append((t, ends))
-                t = child
-            levels.append((t, None))
-            seg = rank[t] * width + rank[-1]
-            yield prefix, levels, _objective(h, k, f1s + f1_terms[seg], ss + sq_counts[seg], w)
-            first = last + 1
+                child, ends, f1r, sr = children(level, f1r, sr, bins - k + j, keep_run)
+                levels.append((level, ends))
+                level = child
+                if not level.size:
+                    break
+                keep_run = kept(j, level, f1r, sr)[1] if j < k - 1 else None
+            else:   # some leaves were kept
+                levels.append((level, None))
+                seg = rank[level] * width + rank[-1]
+                values = _objective(h, k, f1r + f1_terms[seg], sr + sq_counts[seg], w)
+                best = max(best, values.max())
+                yield prefix, levels, values
 
 
 def _leaf_thresholds(prefix: tuple[int, ...], levels, rows) -> np.ndarray:
@@ -284,9 +363,11 @@ def exhaustive_best_threshold(h: AngleHistogram, k: int,
     counts. The sets are scored along the tree of their prefixes
     (`_scored_leaves`), in batches of at most `EXHAUSTIVE_BLOCK` leaves:
     the walk of the multilevel-Otsu dynamic programme of Luessi et al.
-    (J. Electron. Imaging 18(1), 2009) without its merge of states. Only
-    the winning set is rebuilt, so nothing else grows with the number of
-    sets.
+    (J. Electron. Imaging 18(1), 2009) without its merge of states. A
+    subtree whose exact bound (`_subtree_bound`) cannot beat the best set
+    is skipped, so where the bound is tight few sets are scored, and where
+    it is not (exact ties, say) the walk scores them all. Only the winning
+    set is rebuilt, so nothing else grows with the number of sets.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -506,17 +506,29 @@ def row_by_row_best(h, k, w):
 ROW_BY_ROW_BUDGET = 3000  # combinations the plain reference scores per example
 
 
-def draw_counts(data, bins, shape):
+def draw_counts(draw, bins, shape):
     if shape == "random":
-        counts = data.draw(st.lists(st.integers(0, 9), min_size=bins, max_size=bins))
+        counts = draw(st.lists(st.integers(0, 9), min_size=bins, max_size=bins))
     elif shape == "sparse":   # mostly empty bins: equal ranks tie many sets
-        counts = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 4]),
-                                    min_size=bins, max_size=bins))
+        counts = draw(st.lists(st.sampled_from([0, 0, 0, 1, 4]), min_size=bins, max_size=bins))
+    elif shape == "two-spike":  # all sets tie, and the bound prunes almost nothing
+        counts = [0] * bins
+        counts[0] += draw(st.integers(1, 9))
+        counts[-1] += draw(st.integers(1, 9))
     else:                     # one occupied bin, or every bin alike: all ties
         counts = [0] * bins if shape == "single" else [3] * bins
     if sum(counts) == 0:
-        counts[data.draw(st.integers(0, bins - 1))] += 2
+        counts[draw(st.integers(0, bins - 1))] += 2
     return counts
+
+
+SHAPES = ["random", "sparse", "single", "flat", "two-spike"]
+
+
+def no_bound(h, k, w):
+    """A stand-in for `otsu._subtree_bound` under which the walk prunes
+    nothing and scores every set."""
+    return lambda depth, t, f1, s: np.full(np.shape(t), np.inf)
 
 
 def spy_on_batches(monkeypatch, keep):
@@ -541,9 +553,9 @@ def every_leaf(prefix, levels, values):
 class TestExhaustiveBlocks:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), bins=st.integers(2, 40),
-           shape=st.sampled_from(["random", "sparse", "single", "flat"]))
+           shape=st.sampled_from(SHAPES))
     def test_matches_row_by_row_reference(self, data, bins, shape):
-        h = AngleHistogram(draw_counts(data, bins, shape))
+        h = AngleHistogram(draw_counts(data.draw, bins, shape))
         ks = [k for k in range(1, bins + 1)
               if math.comb(bins - 1, k - 1) <= ROW_BY_ROW_BUDGET]
         k = data.draw(st.sampled_from(ks))
@@ -560,19 +572,20 @@ class TestExhaustiveBlocks:
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), bins=st.integers(2, 40),
-           shape=st.sampled_from(["random", "sparse", "single", "flat"]))
+           shape=st.sampled_from(SHAPES))
     def test_every_leaf_scores_as_evaluate_threshold_sets(self, data, bins, shape):
         # the tree adds each leaf's f1 terms left to right from +0.0 through
         # its prefixes' partial sums, so every value is the batch scorer's,
         # bit for bit, whatever the batches
-        h = AngleHistogram(draw_counts(data, bins, shape))
+        h = AngleHistogram(draw_counts(data.draw, bins, shape))
         ks = [k for k in range(2, bins + 1)
               if math.comb(bins - 1, k - 1) <= ROW_BY_ROW_BUDGET]
         k = data.draw(st.sampled_from(ks))
         w = data.draw(st.sampled_from([HALF, ObjectiveWeights(1.0, 0.0),
                                        ObjectiveWeights(0.2, 0.8)]))
         block = data.draw(st.integers(1, otsu.EXHAUSTIVE_BLOCK))
-        with mock.patch.object(otsu, "EXHAUSTIVE_BLOCK", block):
+        with mock.patch.object(otsu, "EXHAUSTIVE_BLOCK", block), \
+                mock.patch.object(otsu, "_subtree_bound", no_bound):
             batches = list(otsu._scored_leaves(h, k, w))
         sets = []
         for prefix, levels, values in batches:
@@ -587,6 +600,7 @@ class TestExhaustiveBlocks:
     def test_scores_every_set_once_in_lexicographic_order(self, monkeypatch, block):
         scored = spy_on_batches(monkeypatch, every_leaf)
         monkeypatch.setattr(otsu, "EXHAUSTIVE_BLOCK", block)
+        monkeypatch.setattr(otsu, "_subtree_bound", no_bound)
         for bins in range(2, 13):
             h = AngleHistogram(np.ones(bins, dtype=int))
             for k in range(2, bins + 1):
@@ -604,6 +618,7 @@ class TestExhaustiveBlocks:
             return values.size, tuple(ends[0]), tuple(ends[1])
 
         batches = spy_on_batches(monkeypatch, first_and_last)
+        monkeypatch.setattr(otsu, "_subtree_bound", no_bound)
         one_bin = np.zeros(36, dtype=int)
         one_bin[20] = 5   # every set scores alike: one segment holds all nodes
         h = AngleHistogram(one_bin)
@@ -641,6 +656,60 @@ class TestExhaustiveBlocks:
         h = AngleHistogram(counts)
         t, v = exhaustive_best_threshold(h, k, HALF)
         assert (t.thresholds, v) == row_by_row_best(h, k, HALF)
+
+
+def prefix_sums(h, prefix):
+    """The f1 sum and S of a prefix's segments, as the walk adds them: f1
+    left to right from +0.0, S in integers."""
+    rank, f1_terms, sq_counts = h.segment_table
+    width = rank[-1] + 1
+    f1, s = 0.0, 0
+    for a, b in itertools.pairwise((0, *prefix)):
+        f1 += f1_terms[rank[a] * width + rank[b]]
+        s += int(sq_counts[rank[a] * width + rank[b]])
+    return f1, s
+
+
+@st.composite
+def bounded_prefixes(draw):
+    """(counts, k, weights, prefix): counts of every `draw_counts` shape,
+    k >= 3 with at most 20 000 sets, and a prefix of 1 to k - 2 thresholds
+    that leaves room for the others."""
+    bins = draw(st.integers(3, 40))
+    counts = draw_counts(draw, bins, draw(st.sampled_from(SHAPES)))
+    k = draw(st.sampled_from([k for k in range(3, bins + 1)
+                              if math.comb(bins - 1, k - 1) <= 20000]))
+    w = draw(st.sampled_from([HALF, ObjectiveWeights(1.0, 0.0), ObjectiveWeights(0.0, 1.0),
+                              ObjectiveWeights(0.2, 0.8)]))
+    depth = draw(st.integers(1, k - 2))
+    return counts, k, w, tuple(sorted(draw(st.permutations(range(1, bins - k + depth + 1)))[:depth]))
+
+
+class TestPruning:
+    @settings(max_examples=150, deadline=None)
+    @given(case=bounded_prefixes())
+    # the best completion's f1 sum rounds 1 ulp above the unscaled bound's
+    @example(case=([4, 3, 6, 0, 4, 9, 8], 4, HALF, (4,)))
+    def test_no_completion_beats_its_prefix_bound(self, case):
+        counts, k, w, prefix = case
+        h, depth, bins = AngleHistogram(counts), len(prefix), len(counts)
+        f1, s = prefix_sums(h, prefix)
+        bound = otsu._subtree_bound(h, k, w)(depth, prefix[-1], f1, s)
+        rest = list(itertools.combinations(range(prefix[-1] + 1, bins), k - 1 - depth))
+        tmat = np.array([prefix + tail for tail in rest], dtype=np.int64)
+        assert evaluate_threshold_sets(h, tmat, w).max() <= bound
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_oracle_shapes_score_few_sets(self, monkeypatch, seed):
+        # the oracle's searches: N = 100 deployments binned at 36, k = 6;
+        # the bound leaves fewer than 5 % of the C(35, 5) sets to score,
+        # and the pruned search returns the full walk's optimum, bit for bit
+        h = build_histogram([n.angle for n in deploy(AreaSpec(150.0, 100), seed)], 36)
+        with mock.patch.object(otsu, "_subtree_bound", no_bound):
+            expected = exhaustive_best_threshold(h, 6, HALF)
+        sizes = spy_on_batches(monkeypatch, lambda prefix, levels, values: values.size)
+        assert exhaustive_best_threshold(h, 6, HALF) == expected
+        assert sum(sizes) < 0.05 * math.comb(35, 5)
 
 
 class TestMaterializeClusters:
