@@ -85,11 +85,16 @@ exhaustive_memory_smoke() {
 import resource, subprocess, sys, time
 child = """
 import numpy as np
-from eerpms import AngleHistogram, ObjectiveWeights, exhaustive_best_threshold
+from eerpms import (AngleHistogram, AreaSpec, NetworkConfig, ObjectiveWeights, build_histogram,
+                    deploy, exhaustive_best_threshold)
 two_spike = np.zeros(36, dtype=np.int64)
-two_spike[[0, -1]] = 50   # every set ties: the bound prunes almost nothing
+two_spike[[0, -1]] = 50   # every set ties
+config = NetworkConfig()   # the operating point: N = 100, 360 bins, K = 10, seed 1
+full = build_histogram([n.angle for n in deploy(AreaSpec(config.radius_m, config.node_count),
+                                                config.seed)], config.bin_count)
 cases = [(np.random.default_rng(bins).integers(0, 4, size=bins) + 1, k, "")
-         for bins, k in ((360, 4), (36, 8))] + [(two_spike, 8, " two-spike")]
+         for bins, k in ((360, 4), (36, 8))] + [(two_spike, 8, " two-spike"),
+                                                (full.counts, config.k_clusters, " N=100")]
 for counts, k, name in cases:
     t, v = exhaustive_best_threshold(AngleHistogram(counts), k, ObjectiveWeights())
     print(f"bins={counts.size} k={k}{name}: {t.thresholds} {v!r}")
@@ -98,7 +103,7 @@ start = time.perf_counter()
 subprocess.run([sys.executable, "-c", child], check=True)
 wall = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-print(f"exhaustive search at (360, 4), (36, 8) and two-spike (36, 8): "
+print(f"exhaustive search at (360, 4), (36, 8), two-spike (36, 8) and N=100 (360, 10): "
       f"peak RSS {peak:.1f} MiB (ceiling 64), wall {wall:.2f} s")
 sys.exit(peak > 64)
 EOF

@@ -101,9 +101,10 @@ def test_traced_eerpms_counts_every_objective_call():
 
 @pytest.mark.parametrize("bins, k", [(36, 2), (36, 4), (36, 6), (12, 12), (40, 3)])
 def test_traced_exhaustive_search_counts_every_row(bins, k):
-    # the exhaustive search scores its sets along the prefix tree, inside its
-    # own span: the oracle's search reads as `otsu.exhaustive_best_threshold`
-    # self time, and none of it as objective calls or rows
+    # the exhaustive search scores its prefixes in its own dynamic programme,
+    # inside its own span: the oracle's search reads as
+    # `otsu.exhaustive_best_threshold` self time, and none of it as objective
+    # calls or rows
     h = eerpms.AngleHistogram(np.random.default_rng(bins + k).integers(0, 5, size=bins) + 1)
     tr = tracer.Tracer()
     uninstall = tr.install(eerpms)
