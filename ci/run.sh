@@ -48,10 +48,20 @@ benchmark_selfcheck() {
 }
 
 benchmark_smoke() {
+  # the digests of each workload's outputs at seed 1 (run.py's default seed)
+  declare -A pinned=(
+    [paper-n100]=eaf33a63a6914f2c83cbd26c402d963f25816d0f7be3d337dc419237726a16d4
+    [dense-n1000]=34886e86f3be8a6232584f76290139045af34f84c734d3b8692f222e21f8aa65
+    [oracle]=4347390d1566712779f7fe406d8353b9a473e7ddb0390ddc2bf647720e02d7a2
+  )
   for workload in paper-n100 dense-n1000 oracle; do
-    last=$(python benchmark/run.py --workload "$workload" --seconds 1 | tail -n 1)
+    out=$(python benchmark/run.py --workload "$workload" --seconds 1)
+    last=$(tail -n 1 <<< "$out")
     echo "$workload: $last"
     python -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(r["correct"] is not True or r["failed"] != 0)' "$last"
+    digest=$(grep '^# digest sha256 ' <<< "$out" | cut -d ' ' -f 4)
+    echo "$workload: digest $digest"
+    [ "$digest" = "${pinned[$workload]}" ] || { echo "$workload: digest differs from ${pinned[$workload]}" >&2; exit 1; }
   done
 }
 

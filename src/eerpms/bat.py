@@ -83,6 +83,13 @@ def _repair_many(raw: np.ndarray, bin_count: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _hold_bounds(x: np.ndarray, bin_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hold test's bounds for repaired float64 rows `x` (see `BatSwarm`)."""
+    ramp = np.arange(x.shape[-1])
+    return (np.where(x == ramp + 1, -np.inf, x - 1.0),
+            np.where(x == ramp + (bin_count - x.shape[-1]), np.inf, x))
+
+
 def _split(block: np.ndarray, pop: int, dim: int):
     """Views of a drawn (m, 2*pop*(dim+1)) block, one row per iteration: the
     (m, pop, dim) flight frequencies, (m, pop) walk draws, (m, pop, dim) walk
@@ -119,17 +126,38 @@ class BatSwarm:
     `best_objective`, `loudness` and `pulse` as they were. Until the first
     improving iteration, the draws alone then fix every walk and every
     choice between walk and flight. So a window draws the blocks of its m
-    iterations in one `rng.random` call (the stream is the same as m
-    draws), runs only the flight recurrence one iteration at a time, and
-    repairs the walks, picks the candidates and scores all m * pop of them
-    at once; repair and objective work row by row. The window is cut at
-    its first improving iteration: that iteration commits with its own t,
-    and the later ones are recomputed from the same draws in the next
-    window. The frequency and walk-step rescales are applied to a block
-    once, when it is drawn; nothing that depends on the swarm is written
-    into it. Windows start at `_FIRST_WINDOW` iterations, double after a
-    window without improvement and start over after one, and draw at most
-    `_WINDOW_DRAWS` uniforms, which bounds every buffer of a window.
+    iterations in one `rng.random` call (the stream is the same as m draws),
+    runs the flight recurrence in order (below), and repairs the walks,
+    picks the candidates and scores all m * pop of them at once; repair and
+    objective work row by row, and the repair leaves a row that is already
+    strictly increasing within [1, bins - 1] as it is, so only the other
+    walk rows go through it. The window is cut at its first improving
+    iteration: that iteration commits with its own t, and the later ones are
+    recomputed from the same draws in the next window. The frequency and
+    walk-step rescales are applied to a block once, when it is drawn;
+    nothing that depends on the swarm is written into it. Windows start at
+    `_FIRST_WINDOW` iterations, double after a window without improvement
+    and start over after one, and draw at most `_WINDOW_DRAWS` uniforms,
+    which bounds every buffer of a window.
+
+    Flights that hold still: the undamped velocity pins most bats at an end
+    of the range, so most flight iterations leave every bat in place. After
+    one that does (x_t == x_{t-1}), the rest of the window runs as one batch
+    as if none moved again: v_i = d*f_i with d = x - best, the carry added
+    to the first and summed by `np.add.accumulate` (the loop's additions in
+    its order), and z = x + v. Iteration i holds if lo < z_i <= hi
+    (`_hold_bounds`): lo = x - 1 but -inf where x_j = j + 1 (bottom-pinned)
+    and hi = x but +inf where x_j = bins - dim + j (top-pinned). Held ones
+    are filled with x, the first that fails is finished with ceil and
+    repair, and the loop goes on from there.
+    Proof that c = ceil(z) repairs to x: if bins = k, x is the only valid
+    row. Else the bottom-pinned thresholds are a prefix 0..P-1, the
+    top-pinned a suffix Q..dim-1, and c_j <= j + 1 <= P in the prefix,
+    c_j = x_j >= P + 2 inside and c_j >= x_j >= x_Q in the suffix, so the
+    sort keeps each group in place. The (j+1)-th smallest c of the prefix
+    is at most j + 1, so the running max of c - j is at most 1 there and
+    clamps to 1; inside it is x_j - j, nondecreasing and within the clamp;
+    the suffix mirrors the prefix.
     """
 
     def __init__(self, histogram: AngleHistogram, k: int, weights: ObjectiveWeights,
@@ -213,18 +241,31 @@ class BatSwarm:
         best = self.best_position.astype(np.float64)
         ramp = np.arange(dim, dtype=np.float64)
 
-        # The flights, one iteration at a time against the unchanged best.
+        # The flights against the unchanged best: iteration i alone, or all of
+        # i..m-1 after one that held every bat still (see the class docstring).
         flights = np.empty((m, pop, dim))
         velocities = np.empty((m, pop, dim))
         x, v = self.positions.astype(np.float64), self.velocities
-        for f, velocity, flight in zip(freq, velocities, flights):
-            np.subtract(x, best, out=velocity)
-            velocity *= f
-            velocity += v
+        i, still = 0, False
+        while i < m:
+            end = m if still else i + 1
+            velocity, flight = velocities[i:end], flights[i:end]
+            np.multiply(x - best, freq[i:end], out=velocity)
+            velocity[0] += v
+            np.add.accumulate(velocity, axis=0, out=velocity)
             np.add(x, velocity, out=flight)
-            np.ceil(flight, out=flight)
-            _repair_in_place(flight, bins, ramp)
-            x, v = flight, velocity
+            if still:
+                lo, hi = _hold_bounds(x, bins)
+                held = ((lo < flight) & (flight <= hi)).all(axis=(1, 2))
+                n_held = len(held) if held.all() else int(held.argmin())
+                flight[:n_held] = x
+                i += n_held
+            if i < m:
+                np.ceil(flights[i], out=flights[i])
+                _repair_in_place(flights[i], bins, ramp)
+                still = np.array_equal(flights[i], x)
+                i += 1
+            x, v = flights[i - 1], velocities[i - 1]
 
         # Local walks around the incumbent best, scaled by the mean loudness.
         # Rounded to nearest: with a sub-unit symmetric step, a ceiling could
@@ -232,7 +273,13 @@ class BatSwarm:
         walks = steps * (self.loudness.sum() / pop)
         walks += best
         np.rint(walks, out=walks)
-        _repair_in_place(walks.reshape(m * pop, dim), bins, ramp)
+        rows = walks.reshape(m * pop, dim)
+        invalid = ((rows[:, 0] < 1.0) | (rows[:, -1] > bins - 1.0)
+                   | (rows[:, 1:] <= rows[:, :-1]).any(axis=1))
+        if invalid.any():
+            repaired = rows[invalid]
+            _repair_in_place(repaired, bins, ramp)
+            rows[invalid] = repaired
         # a bat's flight where it does not walk
         np.copyto(walks, flights, where=(walk_draw <= self.pulse)[:, :, None])
         candidates = walks.astype(np.int64)

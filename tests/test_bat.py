@@ -96,6 +96,53 @@ class TestRepairMany:
             np.testing.assert_array_equal(both[30:], _repair_many(b, bins))
 
 
+@st.composite
+def valid_rows(draw):
+    """A bin count and a valid threshold row for it: runs pinned at the
+    bottom (x_j = j + 1) and at the top (x_j = bins - dim + j) around
+    interior thresholds, and the one row of dim = bins - 1."""
+    bins = draw(st.integers(2, 400))
+    dim = draw(st.one_of(st.integers(1, min(bins - 1, 12)), st.just(bins - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, bins]))  # 0: clamps pin nothing but collisions
+    raw = rng.integers(1 - spread, bins + spread, size=(1, dim))
+    return bins, _repair_many(raw, bins)[0], rng
+
+
+class TestShortcutRules:
+    """The two rules by which `BatSwarm._window` skips the repair: the hold
+    bounds of `_hold_bounds`, and valid rows, which the repair leaves alone."""
+
+    @settings(max_examples=200)
+    @given(case=valid_rows())
+    def test_ceil_inside_the_hold_bounds_repairs_back(self, case):
+        bins, x, rng = case
+        dim = len(x)
+        j = np.arange(dim)
+        lo = np.where(x == j + 1, -np.inf, x - 1.0)  # pinned at the bottom: open
+        hi = np.where(x == bins - dim + j, np.inf, x.astype(np.float64))  # and at the top
+        got = bat._hold_bounds(x.astype(np.float64)[None], bins)
+        assert bitwise_equal(got[0], lo[None]) and bitwise_equal(got[1], hi[None])
+        # finite stand-ins for the open ends, below 2**52 like every move
+        lo_f, hi_f = np.maximum(lo, -2.0**51), np.minimum(hi, 2.0**51)
+        above_lo = np.nextafter(lo_f, np.inf)
+        for _ in range(8):
+            kind = rng.integers(3, size=dim)
+            inside = lo_f + (hi_f - lo_f) * (1.0 - rng.random(dim))
+            z = np.where(kind == 0, hi_f, np.where(kind == 1, above_lo, inside))
+            z = np.minimum(np.maximum(z, above_lo), hi_f)
+            assert ((lo < z) & (z <= hi)).all()
+            assert _repair_many(np.ceil(z)[None], bins)[0].tolist() == x.tolist(), z
+
+    @settings(max_examples=200)
+    @given(case=valid_rows())
+    def test_valid_rows_pass_unchanged(self, case):
+        bins, x, rng = case
+        rows = np.array([np.sort(rng.choice(np.arange(1, bins), size=len(x), replace=False))
+                         for _ in range(8)] + [x])
+        np.testing.assert_array_equal(_repair_many(rows, bins), rows)
+
+
 def toy_histogram(seed=0, bins=36):
     rng = np.random.default_rng(seed)
     return AngleHistogram(rng.integers(1, 20, size=bins))
@@ -326,19 +373,34 @@ def histograms(draw):
     return AngleHistogram(counts)
 
 
+def segment_counts(h):
+    """k for histogram `h`: small, anywhere up to the bin count, or the bin
+    count itself, where the one valid row pins every threshold at both ends."""
+    return st.one_of(st.integers(2, min(h.bin_count, 12)), st.integers(2, h.bin_count),
+                     st.just(h.bin_count))
+
+
+# Frequency bounds: with s_min < 0 a pinned bat's velocity can turn back, so
+# a run of iterations that hold every bat still can end inside a window.
+S_BOUNDS = st.sampled_from([(0.0, 2.0), (0.5, 1.5), (1.0, 1.0), (-1.0, 1.0)])
+# Initial loudness: at 3 a walk steps up to three bins, so more walk rows
+# leave the valid range or collide and go through the repair.
+LOUDNESS0 = st.sampled_from([1.0, 3.0])
+
+
 class TestStepMatchesReference:
     """The in-place step, a window of one iteration, against the four-draw,
     copying step it replaced."""
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), h=histograms(), pop=st.integers(2, 40),
-           s_bounds=st.sampled_from([(0.0, 2.0), (0.5, 1.5), (1.0, 1.0)]),
-           alpha1=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**63 - 1))
-    def test_bitwise_equal_every_step(self, data, h, pop, s_bounds, alpha1, seed):
-        k = data.draw(st.one_of(st.integers(2, min(h.bin_count, 12)),
-                                st.integers(2, h.bin_count)), label="k")
+    @given(data=st.data(), h=histograms(), pop=st.integers(2, 40), s_bounds=S_BOUNDS,
+           loudness0=LOUDNESS0, alpha1=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**63 - 1))
+    def test_bitwise_equal_every_step(self, data, h, pop, s_bounds, loudness0, alpha1, seed):
+        k = data.draw(segment_counts(h), label="k")
         w = ObjectiveWeights(alpha1, 1.0 - alpha1)
-        params = BatParams(population=pop, s_min=s_bounds[0], s_max=s_bounds[1], seed=seed)
+        params = BatParams(population=pop, s_min=s_bounds[0], s_max=s_bounds[1],
+                           loudness0=loudness0, seed=seed)
         run_in_lockstep(BatSwarm(h, k, w, params), BatSwarm(h, k, w, params), 12)
 
     def test_bitwise_equal_through_acceptances(self):
@@ -360,15 +422,14 @@ class TestRunMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), h=histograms(), pop=st.integers(2, 40),
            iterations=st.one_of(st.sampled_from([1, 2, 100]), st.integers(1, 120)),
-           s_bounds=st.sampled_from([(0.0, 2.0), (0.5, 1.5), (1.0, 1.0)]),
+           s_bounds=S_BOUNDS, loudness0=LOUDNESS0,
            alpha1=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**63 - 1))
     def test_bitwise_equal_to_reference_steps(self, data, h, pop, iterations, s_bounds,
-                                              alpha1, seed):
-        k = data.draw(st.one_of(st.integers(2, min(h.bin_count, 12)),
-                                st.integers(2, h.bin_count)), label="k")
+                                              loudness0, alpha1, seed):
+        k = data.draw(segment_counts(h), label="k")
         w = ObjectiveWeights(alpha1, 1.0 - alpha1)
-        params = BatParams(population=pop, max_iterations=iterations,
-                           s_min=s_bounds[0], s_max=s_bounds[1], seed=seed)
+        params = BatParams(population=pop, max_iterations=iterations, s_min=s_bounds[0],
+                           s_max=s_bounds[1], loudness0=loudness0, seed=seed)
         run_against_reference(BatSwarm(h, k, w, params), BatSwarm(h, k, w, params))
 
     @settings(max_examples=30, deadline=None)
@@ -418,6 +479,58 @@ class TestRunMatchesReference:
         assert max(calls) <= window * pop
         assert sum(calls) >= 1000 * pop  # every iteration was scored
         assert max(improving_iterations(swarm)) > window
+
+
+class TestWindowShortcuts:
+    """What `_window` skips must be skipped, not only give the same bits."""
+
+    def test_batch_ends_at_the_first_iteration_that_moves(self, monkeypatch):
+        # one occupied bin: every set scores the same, so nothing improves and
+        # the window runs all six iterations. Bat 0 sits at the top (9 of 10
+        # bins) and flies toward best = 1 or away from it as f changes sign;
+        # bat 1 sits on best at the bottom with no velocity and never moves.
+        calls = []
+        repair = bat._repair_in_place
+
+        def counted(arr, bins, ramp):
+            calls.append(arr.tolist())
+            repair(arr, bins, ramp)
+        counts = np.zeros(10, dtype=np.int64)
+        counts[3] = 5
+        swarm = BatSwarm(AngleHistogram(counts), 2, HALF,
+                         BatParams(population=2, s_min=-1.0, s_max=1.0, seed=0))
+        swarm.positions[:] = [[9], [1]]
+        swarm.velocities[:] = [[0.5], [0.0]]
+        swarm.best_position = np.array([1])
+        # rescaled draws per iteration: two frequencies, two walk draws (above
+        # the zero pulse: both bats walk), two walk steps, two acceptance draws
+        freq = [0.25, 0.0, -0.5, 0.25, 0.0, 0.0]
+        block = np.array([[f, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5] for f in freq])
+        monkeypatch.setattr(bat, "_repair_in_place", counted)
+        assert swarm._window(block) == 6
+        # v: 2.5 (holds, and 1 runs with it), -1.5 (9 -> 8: the batch fails),
+        # 0.25 (8 -> 9, alone), 0.25 (holds), then a batch to the end
+        assert calls == [[[12.0], [1.0]], [[8.0], [1.0]], [[9.0], [1.0]], [[10.0], [1.0]]]
+        assert swarm.positions.tolist() == [[9], [1]]
+        assert swarm.velocities.tolist() == [[0.25], [0.0]]
+        assert swarm.iteration == 6 and swarm.best_history[-1] == swarm.best_objective
+
+    def test_reach_at_the_operating_point(self, monkeypatch):
+        # 360 bins, k = 10, 100 iterations at population 30: without the
+        # shortcuts, all 100 flight iterations and every window's walks would
+        # go through the repair. Measured: 32 flight iterations one at a time
+        # (25-41 over seeds 0-19), and no walk row that needs the repair.
+        calls = []
+        repair = bat._repair_in_place
+
+        def counted(arr, bins, ramp):
+            calls.append(len(arr))
+            repair(arr, bins, ramp)
+        swarm = BatSwarm(toy_histogram(11, bins=360), 10, HALF, BatParams(seed=4))
+        monkeypatch.setattr(bat, "_repair_in_place", counted)
+        swarm.run()
+        assert len(calls) <= 40
+        assert set(calls) == {30}  # each call is one iteration's flights
 
 
 class TestBatParamsValidation:
